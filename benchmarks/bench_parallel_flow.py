@@ -33,7 +33,7 @@ import pytest
 
 from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.result import FlowResult
-from repro.flow.runner import REQUIRED_QOR_KEYS
+from repro.flow.runner import REQUIRED_QOR_KEYS, run_flow
 from repro.runtime import (
     FaultKind,
     FaultPlan,
@@ -232,7 +232,8 @@ def test_batch_flow_speedup(benchmark, request):
 
         fresh_netlists(BATCH_DESIGN, 5, 1)
 
-        with ParallelFlowExecutor(workers=1) as scalar:
+        # The scalar engine, named explicitly: the default is stacked.
+        with ParallelFlowExecutor(workers=1, flow_fn=run_flow) as scalar:
             started = time.perf_counter()
             scalar_results = scalar.execute_batch(jobs)
             scalar_s = time.perf_counter() - started

@@ -64,6 +64,7 @@ from repro.netlist.profiles import design_profiles, get_profile
 from repro.observability import tracing
 from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
+from repro.runtime.parallel import DEFAULT_BATCH_SIZE
 
 
 def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
@@ -79,11 +80,15 @@ def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--poison-retries", type=int, default=1,
                        help="re-dispatches of a job that killed its "
                             "worker before it is quarantined as poison")
-    group.add_argument("--batch-size", type=int, default=1,
-                       help="max jobs per stacked (array-vectorized) flow "
+    group.add_argument("--batch-size", type=int,
+                       default=DEFAULT_BATCH_SIZE,
+                       help="most jobs per stacked (array-vectorized) flow "
                             "evaluation; compatible jobs — same design and "
-                            "netlist seed — are grouped per dispatch, with "
-                            "bit-identical results (1 = scalar path)")
+                            "netlist seed — run as lanes of one stack, "
+                            "with bit-identical results (default "
+                            f"{DEFAULT_BATCH_SIZE}; 1 = one job per flow "
+                            "call; chaos and the watchdog run jobs one at "
+                            "a time)")
 
 
 def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +120,7 @@ def _runtime_from_args(args, **overrides):
         watchdog_s=getattr(args, "watchdog_s", 0.0) or None,
         max_respawns=getattr(args, "max_respawns", 8),
         poison_retries=getattr(args, "poison_retries", 1),
-        batch_size=getattr(args, "batch_size", 1),
+        batch_size=getattr(args, "batch_size", DEFAULT_BATCH_SIZE),
     )
     settings.update(overrides)
     return RuntimeConfig(**settings)

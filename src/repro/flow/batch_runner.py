@@ -8,9 +8,18 @@ all operate on ``(B, ...)`` stacks where the recipes differ only in
 parameters.  Mixed (profile, seed) inputs are grouped internally and results
 are reassembled in submission order.
 
-The scalar ``run_flow`` remains the bit-exactness reference: every snapshot
-dict, QoR expression and report produced here reuses the scalar AST order,
-and the equivalence suite asserts bitwise identity against it.
+This is the engine the runtime runs: :class:`~repro.runtime.FlowSession`
+stacks every group of jobs sharing a (profile, seed) pair into one
+``run_flow_batch`` call (``RuntimeConfig.batch_size``, default 16, caps the
+lanes per stack), and every job that does not stack — a lone job, or any
+job under a per-job fault plan, deadline or watchdog — runs as a width-1
+stack through :func:`run_flow_lane`.
+
+The scalar ``run_flow`` remains the bit-exactness reference, reachable from
+a session as ``flow_fn=run_flow``: every snapshot dict, QoR expression and
+report produced here reuses the scalar AST order, and the equivalence suite
+asserts bitwise identity against it and against the committed golden pins
+(``tests/golden/flow_pins.json``).
 """
 
 from __future__ import annotations
@@ -92,6 +101,20 @@ def run_flow_batch(
         for i, result in zip(members, group_results):
             results[i] = result
     return results  # type: ignore[return-value]
+
+
+def run_flow_lane(
+    design: Union[str, DesignProfile],
+    params: FlowParameters = FlowParameters(),
+    seed: int = 0,
+) -> FlowResult:
+    """One job as a width-1 stack, behind the scalar ``run_flow`` signature.
+
+    The runtime's built-in flow function: the default of
+    :class:`~repro.runtime.executor.FlowExecutor` and of every job the
+    session runs one at a time.
+    """
+    return run_flow_batch([(design, params, seed)])[0]
 
 
 def _run_group(

@@ -121,7 +121,9 @@ class FlowExecutor:
 
     Args:
         flow_fn: The tool invocation, ``(design, params, seed=...) ->
-            FlowResult``.  Defaults to :func:`repro.flow.runner.run_flow`.
+            FlowResult``.  Defaults to a width-1 stack of the batch engine
+            (:func:`repro.flow.batch_runner.run_flow_lane`), bit-identical
+            to the scalar :func:`repro.flow.runner.run_flow`.
             Wrap it with a :class:`~repro.runtime.faults.FaultInjector` to
             rehearse failure modes.
         policy: Retry/backoff schedule.
@@ -145,9 +147,9 @@ class FlowExecutor:
         seed: int = 0,
     ) -> None:
         if flow_fn is None:
-            from repro.flow.runner import run_flow
+            from repro.flow.batch_runner import run_flow_lane
 
-            flow_fn = run_flow
+            flow_fn = run_flow_lane
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline must be positive, got {deadline_s}")
         self.flow_fn = flow_fn

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -99,6 +100,9 @@ from repro.runtime.faults import (
 # Version stamp baked into every cache key: bump when FlowResult layout or
 # flow semantics change so stale entries can never masquerade as fresh runs.
 QOR_CACHE_VERSION = 1
+
+# Most lanes per stacked flow evaluation unless configured otherwise.
+DEFAULT_BATCH_SIZE = 16
 
 
 def _job_stream_seed(base: int, index: int) -> int:
@@ -157,6 +161,23 @@ class _GroupResult:
         self.reports = reports
         self.stats = stats or {}
 
+    # Each lane crosses the result pipe as its own pickle, so after the
+    # trip it shares no objects with its lane mates — exactly like a job
+    # sent alone.  Downstream pickles (checkpoints) therefore do not
+    # depend on how the pool cut a batch into stacks.
+    def __getstate__(self):
+        lanes = [
+            (index, pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
+            for index, report in self.reports
+        ]
+        return lanes, self.stats
+
+    def __setstate__(self, state) -> None:
+        lanes, self.stats = state
+        self.reports = [
+            (index, pickle.loads(blob)) for index, blob in lanes
+        ]
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -181,7 +202,7 @@ class FaultPlan:
 class _RunnerSettings:
     """Everything a worker needs to supervise one job (all picklable)."""
 
-    flow_fn: Optional[Callable] = None  # None -> repro.flow.runner.run_flow
+    flow_fn: Optional[Callable] = None  # None -> width-1 run_flow_batch
     policy: RetryPolicy = RetryPolicy()
     deadline_s: Optional[float] = None
     min_snapshots: Optional[int] = None
@@ -202,9 +223,9 @@ def _execute_job(settings: _RunnerSettings, index: int,
     makes re-dispatched results bit-identical to the workers=1 run.
     """
     if settings.flow_fn is None:
-        from repro.flow.runner import run_flow
+        from repro.flow.batch_runner import run_flow_lane
 
-        flow_fn = run_flow
+        flow_fn = run_flow_lane
     else:
         flow_fn = settings.flow_fn
     clock: Callable[[], float] = time.monotonic
@@ -243,44 +264,55 @@ def _execute_group(settings: _RunnerSettings, group: _JobGroup,
                    stats: Optional[Dict[str, int]] = None) -> _GroupResult:
     """Run one compatible job group through the stacked batch pipeline.
 
-    The batch kernels are bit-identical to the scalar flow, so on *any*
-    failure inside the stacked evaluation the whole group is re-run through
-    the per-job scalar supervision path, which deterministically reproduces
-    the exact per-job outcome — including each member's typed error and
-    retry schedule.  Success reports carry one zero-error attempt whose
-    elapsed time is the group wall clock amortized over its lanes.
+    The stack is one ``flow.stack`` span, and each member counts in
+    ``flow_runs_total`` / ``flow_attempts_total`` exactly as one
+    successful first attempt of :meth:`FlowExecutor.try_execute` would.
+    On *any* failure inside the stacked evaluation the whole group is
+    re-run job by job through the per-job supervision path, which
+    deterministically reproduces the exact per-job outcome — including
+    each member's typed error and retry schedule.  Success reports carry
+    one zero-error attempt whose elapsed time is the group wall clock
+    amortized over its lanes.
     """
     from repro.flow.batch_runner import run_flow_batch
 
+    first = group.jobs[0][1]
     local: Dict[str, int] = {}
-    start = time.monotonic()
-    try:
-        results = run_flow_batch(
-            [(job.design, job.params, job.seed) for _, job in group.jobs],
-            stats=local,
-        )
-        if settings.min_snapshots is not None:
-            from repro.errors import CorruptQoR
+    with get_tracer().span(
+        "flow.stack", design=str(first.design), seed=int(first.seed),
+        width=len(group),
+    ):
+        start = time.monotonic()
+        try:
+            results = run_flow_batch(
+                [(job.design, job.params, job.seed) for _, job in group.jobs],
+                stats=local,
+            )
+            if settings.min_snapshots is not None:
+                from repro.errors import CorruptQoR
 
-            for result in results:
-                if len(result.snapshots) < settings.min_snapshots:
-                    raise CorruptQoR(
-                        f"flow run on {result.design} returned only "
-                        f"{len(result.snapshots)} stage snapshots "
-                        f"(expected >= {settings.min_snapshots}): "
-                        f"partial report"
-                    )
-    except (KeyboardInterrupt, SystemExit, SimulatedWorkerDeath):
-        raise
-    except Exception:  # noqa: BLE001 - scalar path reproduces the outcome
-        return _GroupResult([
-            (index, _execute_job(settings, index, job, dispatch))
-            for index, job in group.jobs
-        ])
+                for result in results:
+                    if len(result.snapshots) < settings.min_snapshots:
+                        raise CorruptQoR(
+                            f"flow run on {result.design} returned only "
+                            f"{len(result.snapshots)} stage snapshots "
+                            f"(expected >= {settings.min_snapshots}): "
+                            f"partial report"
+                        )
+        except (KeyboardInterrupt, SystemExit, SimulatedWorkerDeath):
+            raise
+        except Exception:  # noqa: BLE001 - per-job path reproduces outcomes
+            return _GroupResult([
+                (index, _execute_job(settings, index, job, dispatch))
+                for index, job in group.jobs
+            ])
+        elapsed = (time.monotonic() - start) / max(1, len(results))
+    registry = get_registry()
+    registry.counter("flow_attempts_total").inc(len(results))
+    registry.counter("flow_runs_total").inc(len(results), status="ok")
     if stats is not None:
         for key, value in local.items():
             stats[key] = stats.get(key, 0) + value
-    elapsed = (time.monotonic() - start) / max(1, len(results))
     return _GroupResult([
         (index, FlowRunReport(
             design=str(job.design),
@@ -702,8 +734,9 @@ class _WorkerSupervisor:
             )
         while backlog:
             index, job, _ = backlog.popleft()
-            # Groups degrade to their scalar members: the batch kernels are
-            # bit-identical, so the serial path reproduces each outcome.
+            # Groups degrade to their members run one by one: a stack is
+            # bit-identical to its lanes run alone, so the serial path
+            # reproduces each outcome.
             for job_index, member_job in _task_members(index, job):
                 yield job_index, self._run_inprocess(
                     job_index, member_job, kills.get(index, 0)
@@ -894,7 +927,12 @@ class ParallelFlowExecutor:
             per-job supervision, no pool, no pickling constraints.
         flow_fn: Tool invocation ``(design, params, seed=...) ->
             FlowResult``; must be picklable (module-level) when
-            ``workers > 1``.  Defaults to :func:`repro.flow.runner.run_flow`.
+            ``workers > 1``.  ``None`` (default) selects the built-in
+            stacked engine: compatible jobs run as lanes of one
+            ``run_flow_batch`` call and the rest as width-1 stacks
+            (:func:`repro.flow.batch_runner.run_flow_lane`).  A custom
+            callable always runs one job at a time; pass
+            :func:`repro.flow.runner.run_flow` for the scalar reference.
         policy / deadline_s / min_snapshots: Per-job
             :class:`~repro.runtime.executor.FlowExecutor` supervision knobs.
         seed: Base seed for per-job retry-jitter streams.
@@ -919,6 +957,13 @@ class ParallelFlowExecutor:
         degrade_to_serial: When the respawn budget is exhausted, finish
             the batch with supervised in-process execution (default)
             instead of raising :class:`~repro.errors.WorkerPoolError`.
+        batch_size: Most lanes per stacked evaluation (default 16).  Jobs
+            sharing a (profile, netlist seed) pair stack, in widths of at
+            most ``ceil(n / workers)`` for ``n`` pending jobs so every
+            worker gets a share of a small batch.  Width is 1 — every job
+            on its own -- under a ``fault_plan``, ``deadline_s`` or
+            ``watchdog_s`` (all per-job policies) or a custom
+            ``flow_fn``.  Results are bit-identical at any width.
     """
 
     def __init__(
@@ -936,17 +981,12 @@ class ParallelFlowExecutor:
         poison_retries: int = 1,
         watchdog_s: Optional[float] = None,
         degrade_to_serial: bool = True,
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_size > 1 and flow_fn is not None:
-            raise ValueError(
-                "batch_size > 1 vectorizes the built-in run_flow; it cannot "
-                "be combined with a custom flow_fn"
-            )
         if max_respawns < 0:
             raise ValueError(
                 f"max_respawns must be >= 0, got {max_respawns}"
@@ -1005,15 +1045,16 @@ class ParallelFlowExecutor:
     def _batch_enabled(self) -> bool:
         """Whether stacked evaluation applies to this executor's jobs.
 
-        Fault injection, per-attempt deadlines and custom flow callables
-        are strictly per-job semantics; any of them forces the scalar
-        reference path (fault-injected jobs always run per job).
+        Fault injection, per-attempt deadlines and the dispatch watchdog
+        are per-job policies, and a custom flow callable takes one job at
+        a time; any of them runs every job on its own.
         """
         return (
             self.batch_size > 1
             and self._settings.flow_fn is None
             and self._settings.fault_plan is None
             and self._settings.deadline_s is None
+            and self.watchdog_s is None
         )
 
     def _plan_tasks(
@@ -1023,17 +1064,20 @@ class ParallelFlowExecutor:
 
         Jobs sharing a (profile, seed) pair — one pristine netlist — are
         stacked, in submission order, into groups of at most
-        ``batch_size``; singletons stay scalar tasks.  Group tasks are
-        keyed by their first member's batch index.
+        ``min(batch_size, ceil(n / workers))`` for ``n`` pending jobs, so
+        a batch too small to fill the pool at full width still gives
+        every worker a share; singletons stay per-job tasks.  Group tasks
+        are keyed by their first member's batch index.
         """
         buckets: Dict[Tuple[str, int], List[Tuple[int, FlowJob]]] = {}
         for index, job in pending:
             name = getattr(job.design, "name", None) or str(job.design)
             buckets.setdefault((name, job.seed), []).append((index, job))
+        width = min(self.batch_size, math.ceil(len(pending) / self.workers))
         tasks: List[Tuple[int, object]] = []
         for members in buckets.values():
-            for at in range(0, len(members), self.batch_size):
-                chunk = members[at:at + self.batch_size]
+            for at in range(0, len(members), width):
+                chunk = members[at:at + width]
                 if len(chunk) == 1:
                     tasks.append(chunk[0])
                 else:

@@ -56,6 +56,7 @@ from repro.flow.result import FlowResult
 from repro.observability.trace import Tracer, set_tracer
 from repro.runtime.executor import FlowExecutor, FlowRunReport, RetryPolicy
 from repro.runtime.parallel import (
+    DEFAULT_BATCH_SIZE,
     FaultPlan,
     FlowJob,
     ParallelFlowExecutor,
@@ -112,14 +113,16 @@ class RuntimeConfig:
         degrade_to_serial: Finish batches in-process when the pool cannot
             keep workers alive (default) instead of raising
             :class:`~repro.errors.WorkerPoolError`.
-        batch_size: Maximum jobs per stacked (array-vectorized) flow
-            evaluation.  ``1`` (default) runs the scalar reference path.
-            Values ``> 1`` group compatible jobs — same design profile
-            and netlist seed — into one stacked ``run_flow_batch`` call
-            per worker dispatch; results are bit-identical to the scalar
-            path.  Incompatible with a ``fault_plan``, a ``deadline_s``
-            or a custom ``flow_fn`` (those force the per-job scalar
-            path; the session rejects the contradiction up front).
+        batch_size: Most lanes per stacked (array-vectorized) flow
+            evaluation, default 16.  Jobs sharing a design profile and
+            netlist seed run as lanes of one ``run_flow_batch`` call per
+            worker dispatch (at most ``ceil(n / workers)`` for ``n``
+            pending jobs, so a small batch still reaches every worker).
+            Width is 1 — each job on its own, still through the batch
+            kernels — under a ``fault_plan``, ``deadline_s`` or
+            ``watchdog_s`` (per-job policies), for a custom ``flow_fn``
+            and for an injected executor.  Results are bit-identical at
+            any width.
     """
 
     workers: int = 1
@@ -135,7 +138,7 @@ class RuntimeConfig:
     poison_retries: int = 1
     watchdog_s: Optional[float] = None
     degrade_to_serial: bool = True
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
@@ -217,18 +220,6 @@ class RuntimeConfig:
             raise RuntimeConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.batch_size > 1:
-            if self.fault_plan is not None:
-                raise RuntimeConfigError(
-                    "fault injection is rehearsed on the scalar reference "
-                    "path; batch_size > 1 cannot be combined with a "
-                    "fault_plan"
-                )
-            if self.deadline_s is not None:
-                raise RuntimeConfigError(
-                    "per-attempt deadlines apply to scalar jobs; "
-                    "batch_size > 1 cannot be combined with deadline_s"
-                )
 
     def replace(self, **overrides) -> "RuntimeConfig":
         """A copy with ``overrides`` applied (re-validated)."""
@@ -263,15 +254,18 @@ class FlowSession:
     Args:
         config: The validated :class:`RuntimeConfig` to compose.
         flow_fn: Tool invocation override ``(design, params, seed=...) ->
-            FlowResult``; must be picklable when ``config.workers > 1``.
-            Defaults to :func:`repro.flow.runner.run_flow`.
+            FlowResult``, run one job at a time; must be picklable when
+            ``config.workers > 1``.  ``None`` (default) runs the built-in
+            stacked engine; ``flow_fn=run_flow`` selects the scalar
+            reference (:func:`repro.flow.runner.run_flow`).
         executor: A pre-built :class:`FlowExecutor` (possibly carrying
             closures, virtual clocks, wrapped fault injectors) to run
             every job through sequentially — the exact legacy path,
             preserved for tests and the online loop's ``executor=``
             escape hatch.  Requires ``workers == 1``, no cache and no
             fault plan (those belong to the session, not the injected
-            executor), and is mutually exclusive with ``flow_fn``.
+            executor), and is mutually exclusive with ``flow_fn``; it
+            runs one job at a time whatever ``config.batch_size`` says.
     """
 
     def __init__(
@@ -311,17 +305,6 @@ class FlowSession:
                     "workers; an injected executor bypasses it — drop "
                     "watchdog_s or the executor"
                 )
-            if config.batch_size > 1:
-                raise RuntimeConfigError(
-                    "an injected executor runs jobs one at a time; it "
-                    "cannot be combined with batch_size="
-                    f"{config.batch_size}"
-                )
-        if flow_fn is not None and config.batch_size > 1:
-            raise RuntimeConfigError(
-                "batch_size > 1 vectorizes the built-in run_flow; it "
-                "cannot be combined with a custom flow_fn"
-            )
         self.config = config
         self._injected = executor
         self._parallel: Optional[ParallelFlowExecutor] = None

@@ -3,14 +3,28 @@
 The batch kernels are required to reproduce the scalar ``run_flow`` down
 to the last bit — QoR dicts compared as ordered item lists, trajectory
 snapshots stage by stage, and whole ``FlowResult`` objects by pickle
-bytes.  The session-level tests assert the ``batch_size`` door on
-``RuntimeConfig`` grows no observable behavior: grouped evaluation at
-workers 1 and 4 returns the same bytes as the scalar path, QoR cache
-hits are identical, fault injection forces the scalar path, and
-contradictory knobs are rejected as typed ``RuntimeConfigError``\\ s.
+bytes.  Both engines are also held to the committed golden pins in
+``tests/golden/flow_pins.json``, so the guarantee outlives the live
+scalar reference.  Stacking is the ``FlowSession`` default; the scalar
+engine is reached only explicitly, as ``flow_fn=run_flow``.  The
+session-level tests assert the ``batch_size`` knob grows no observable
+behavior: stacked evaluation at workers 1, 2 and 4 returns the same
+bytes as the scalar path, QoR cache hits are identical, and per-job
+policies (fault plans, deadlines, custom flow callables, injected
+executors) run job by job with outcomes identical to ``batch_size=1``.
+
+The golden pins are regenerated from the scalar engine with::
+
+    PYTHONPATH=src python tests/test_batch_equivalence.py
+
+Regenerate them only for an intentional change of the flow's physics.
 """
 
+import functools
+import json
+import math
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +41,18 @@ from repro.flow.parameters import (
 )
 from repro.flow.runner import run_flow
 from repro.netlist.profiles import design_profiles
+from repro.observability import (
+    InMemoryExporter,
+    MetricsRegistry,
+    Tracer,
+    set_registry,
+    set_tracer,
+)
 from repro.runtime import (
     FaultKind,
     FaultPlan,
     FlowExecutor,
+    FlowJob,
     FlowSession,
     ParallelFlowExecutor,
     RuntimeConfig,
@@ -53,6 +75,17 @@ RECIPES = {
 }
 RECIPE_NAMES = tuple(RECIPES)
 
+GOLDEN_PINS = Path(__file__).parent / "golden" / "flow_pins.json"
+PIN_REL = 1e-9
+# (design, recipe, seed) of every pinned run: exactly the runs of
+# test_width3_all_profiles and of the seed-2 test_other_widths cases.
+PIN_CASES = tuple(
+    (profile.name, name, 1)
+    for profile in design_profiles() for name in RECIPE_NAMES
+) + tuple(
+    (design, name, 2) for design in ("D6", "D10") for name in RECIPE_NAMES
+)
+
 
 def assert_results_identical(ref, got, tag=""):
     """Scalar vs batch FlowResult: ordered-item and pickle-byte equality."""
@@ -69,6 +102,81 @@ def assert_results_identical(ref, got, tag=""):
     )
 
 
+def pin_of(result):
+    """The pinned view of a result: QoR, then each stage's snapshot."""
+    pin = {"qor": dict(result.qor)}
+    for snap in result.snapshots:
+        pin[snap.stage.value] = dict(snap.metrics)
+    return pin
+
+
+def _assert_metrics_pinned(got, want, tag):
+    assert list(got) == list(want), tag
+    for name, pinned in want.items():
+        value = got[name]
+        if float(pinned).is_integer():  # counts compare exactly
+            assert value == pinned, (tag, name, value, pinned)
+        else:
+            assert math.isclose(value, pinned, rel_tol=PIN_REL), (
+                tag, name, value, pinned
+            )
+
+
+@functools.lru_cache(maxsize=None)
+def _pins():
+    return json.loads(GOLDEN_PINS.read_text())
+
+
+def assert_matches_pin(result, design, recipe, seed):
+    """One result against its committed golden pin."""
+    key = f"{design}/{recipe}/{seed}"
+    want, got = _pins()[key], pin_of(result)
+    assert list(got) == list(want), key
+    for section, pinned in want.items():
+        _assert_metrics_pinned(got[section], pinned, f"{key} {section}")
+
+
+def write_pins():
+    """Regenerate ``GOLDEN_PINS`` from the scalar engine."""
+    pins = {
+        f"{design}/{name}/{seed}": pin_of(
+            run_flow(design, RECIPES[name], seed=seed)
+        )
+        for design, name, seed in PIN_CASES
+    }
+    GOLDEN_PINS.parent.mkdir(exist_ok=True)
+    GOLDEN_PINS.write_text(json.dumps(pins, indent=1) + "\n")
+    return len(pins)
+
+
+def transported(result):
+    """Pickle bytes after one pickle round trip — what a pool worker's
+    result pipe does to every result — so in-process and pool results
+    compare byte for byte."""
+    return pickle.dumps(pickle.loads(pickle.dumps(result, 5)), 5)
+
+
+def tiny_jobs():
+    """Every recipe on the fast unit-test profile: one (profile, seed)
+    bucket of three jobs."""
+    return [(tiny_profile(), RECIPES[n], 0) for n in RECIPE_NAMES]
+
+
+def assert_same_outcomes(got, want):
+    """Per-job outcomes match: results by pickle bytes, failures by
+    error type, message and attempt count."""
+    assert len(got) == len(want)
+    for have, expected in zip(got, want):
+        assert have.ok == expected.ok
+        if expected.ok:
+            assert pickle.dumps(have.result, 5) == \
+                pickle.dumps(expected.result, 5)
+        else:
+            assert type(have.error) is type(expected.error)
+            assert str(have.error) == str(expected.error)
+            assert len(have.attempts) == len(expected.attempts)
+
+
 # ----------------------------------------------------------------------
 # Kernel level: run_flow_batch vs run_flow, no session involved.
 # ----------------------------------------------------------------------
@@ -83,6 +191,8 @@ class TestKernelEquivalence:
         gots = run_flow_batch(triples)
         for name, ref, got in zip(RECIPE_NAMES, refs, gots):
             assert_results_identical(ref, got, f"{design}/{name}")
+            assert_matches_pin(ref, design, name, 1)
+            assert_matches_pin(got, design, name, 1)
 
     @pytest.mark.parametrize("width", (1, 8))
     @pytest.mark.parametrize("design", ("D6", "D10"))
@@ -96,6 +206,9 @@ class TestKernelEquivalence:
         assert len(gots) == width
         for i, (ref, got) in enumerate(zip(refs, gots)):
             assert_results_identical(ref, got, f"{design}/w{width}[{i}]")
+            name = RECIPE_NAMES[i % len(RECIPE_NAMES)]
+            assert_matches_pin(ref, design, name, 2)
+            assert_matches_pin(got, design, name, 2)
 
     def test_mixed_profile_batch_reassembles_in_submission_order(self):
         triples = [
@@ -122,7 +235,7 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Session level: the batch_size door on RuntimeConfig.
+# Session level: stacking is the FlowSession default.
 # ----------------------------------------------------------------------
 class TestSessionBatchEquivalence:
     @staticmethod
@@ -136,9 +249,10 @@ class TestSessionBatchEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        with FlowSession(RuntimeConfig(workers=1)) as session:
-            outcomes = session.evaluate(self._jobs())
-        return [pickle.dumps(o.result, 5) for o in outcomes]
+        """The scalar engine's bytes, named explicitly."""
+        return [
+            pickle.dumps(run_flow(d, p, seed=s), 5) for d, p, s in self._jobs()
+        ]
 
     @pytest.mark.parametrize("workers", (1, 4))
     @pytest.mark.parametrize("cached", (False, True))
@@ -155,28 +269,70 @@ class TestSessionBatchEquivalence:
             stats = session.stats()
         if workers == 1:
             # In-process transport: the very same bytes as the scalar
-            # reference session.
+            # reference.
             assert [pickle.dumps(o.result, 5) for o in got] == reference
         else:
             # Pool transport round-trips results through pickle, which
             # re-lays out the memo exactly as the scalar pool path does;
-            # compare against a scalar session at the same worker count.
-            with FlowSession(RuntimeConfig(workers=workers)) as scalar:
+            # compare against the scalar engine at the same worker count.
+            with FlowSession(
+                RuntimeConfig(workers=workers), flow_fn=run_flow
+            ) as scalar:
                 want = scalar.evaluate(self._jobs())
             assert [pickle.dumps(o.result, 5) for o in got] == [
                 pickle.dumps(o.result, 5) for o in want
             ]
         assert stats["batch_size"] == 8
         assert stats["batch_calls"] == 2          # one stack per seed
-        assert stats["batch_grouped_jobs"] == 6
-        assert stats["batch_max_width"] == 3
+        if workers == 1:
+            assert stats["batch_grouped_jobs"] == 6
+            assert stats["batch_max_width"] == 3
+        else:
+            # ceil(6 jobs / 4 workers) = 2: each seed's three jobs run as
+            # a 2-lane stack plus a lone job, spread over the pool.
+            assert stats["batch_grouped_jobs"] == 4
+            assert stats["batch_max_width"] == 2
+
+    def test_pool_splits_bucket_across_workers(self):
+        """One 5-job bucket at workers=2 runs as stacks of 3 and 2 (one
+        per worker), with the bytes of the single 5-lane stack that
+        workers=1 runs."""
+        jobs = [
+            (tiny_profile(), FlowParameters(opt=OptParams(vt_swap_bias=b)), 0)
+            for b in (0.8, 0.9, 1.0, 1.1, 1.2)
+        ]
+        got, stats = {}, {}
+        for workers in (1, 2):
+            with FlowSession(RuntimeConfig(workers=workers)) as session:
+                got[workers] = session.evaluate(jobs)
+                stats[workers] = session.stats()
+        assert stats[1]["batch_calls"] == 1
+        assert stats[1]["batch_max_width"] == 5
+        assert stats[2]["batch_calls"] == 2
+        assert stats[2]["batch_grouped_jobs"] == 5
+        assert stats[2]["batch_max_width"] == 3
+        assert [transported(o.result) for o in got[2]] == \
+            [transported(o.result) for o in got[1]]
+
+    def test_pool_keeps_full_width_when_buckets_fill_it(self):
+        """Width comes from the whole pending batch, not from each bucket:
+        two 32-job buckets already give four workers four full stacks, so
+        no stack is cut below batch_size (a per-bucket rule would cut
+        each bucket into stacks of ceil(32 / 4) = 8)."""
+        jobs = [
+            (index, FlowJob(design, RECIPES[RECIPE_NAMES[0]], 0))
+            for index, design in enumerate(["D6"] * 32 + ["D10"] * 32)
+        ]
+        with ParallelFlowExecutor(workers=4, batch_size=16) as executor:
+            tasks = executor._plan_tasks(jobs)
+        assert [len(job) for _, job in tasks] == [16] * 4
 
     def test_cache_hit_parity(self, tmp_path):
         jobs = self._jobs()
         sessions = {
             1: FlowSession(RuntimeConfig(
-                batch_size=1, qor_cache_path=str(tmp_path / "scalar")
-            )),
+                qor_cache_path=str(tmp_path / "scalar")
+            ), flow_fn=run_flow),
             8: FlowSession(RuntimeConfig(
                 batch_size=8, qor_cache_path=str(tmp_path / "batch")
             )),
@@ -195,8 +351,8 @@ class TestSessionBatchEquivalence:
             # A batch-warmed cache serves a scalar session and vice versa:
             # the keys and stored results are identical.
             crossed = FlowSession(RuntimeConfig(
-                batch_size=1, qor_cache_path=str(tmp_path / "batch")
-            ))
+                qor_cache_path=str(tmp_path / "batch")
+            ), flow_fn=run_flow)
             try:
                 assert all(o.cached for o in crossed.evaluate(jobs))
             finally:
@@ -206,9 +362,9 @@ class TestSessionBatchEquivalence:
                 session.close()
 
     def test_fault_plan_forces_scalar_path(self):
-        """At the executor layer a fault plan disables grouping entirely:
-        fault-injected jobs always run the per-job scalar path, with
-        outcomes identical to a batch_size=1 executor."""
+        """At the executor layer a fault plan disables stacking entirely:
+        fault-injected jobs always run one by one, with outcomes
+        identical to a batch_size=1 executor."""
         plan = FaultPlan(
             rate=0.6, kinds=(FaultKind.CRASH,), seed=17
         )
@@ -228,18 +384,12 @@ class TestSessionBatchEquivalence:
                 assert executor.batch_calls == 0
             finally:
                 executor.close()
-        for got, want in zip(outcomes[4], outcomes[1]):
-            assert got.ok == want.ok
-            if want.ok:
-                assert got.result.qor == want.result.qor
-            else:
-                assert type(got.error) is type(want.error)
-                assert str(got.error) == str(want.error)
+        assert_same_outcomes(outcomes[4], outcomes[1])
 
     def test_group_failure_falls_back_to_scalar_errors(self):
         """A stacked evaluation that fails mid-flight re-runs its members
-        through the scalar supervision path, reproducing each member's
-        typed error exactly."""
+        one by one through the per-job supervision path, reproducing each
+        member's typed error exactly."""
         jobs = [(tiny_profile(), RECIPES[n], 0) for n in RECIPE_NAMES]
         reports = {}
         for batch_size in (1, 8):
@@ -255,39 +405,69 @@ class TestSessionBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Knob validation: contradictory configurations are typed errors.
+# Knob validation: batch_size is a width cap, never a contradiction.
 # ----------------------------------------------------------------------
 class TestKnobRejection:
+    """Invalid widths are typed errors.  Per-job policies once rejected
+    alongside ``batch_size > 1`` now construct and run every job on its
+    own, with outcomes identical to ``batch_size=1``."""
+
+    @staticmethod
+    def _outcomes(config, **session_kwargs):
+        with FlowSession(config, **session_kwargs) as session:
+            outcomes = session.evaluate(tiny_jobs())
+            assert session.stats().get("batch_calls", 0) == 0
+        return outcomes
+
     @pytest.mark.parametrize("bad", (0, -1, 2.5, True, "8"))
     def test_invalid_batch_size(self, bad):
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(batch_size=bad)
 
     def test_fault_plan_contradicts_batch(self):
-        with pytest.raises(RuntimeConfigError, match="fault"):
-            RuntimeConfig(batch_size=2, fault_plan=FaultPlan(rate=0.5))
+        plan = FaultPlan(rate=0.5, kinds=(FaultKind.CRASH,), seed=3)
+        got = self._outcomes(RuntimeConfig(batch_size=2, fault_plan=plan))
+        want = self._outcomes(RuntimeConfig(batch_size=1, fault_plan=plan))
+        assert any(len(o.attempts) > 1 for o in want)  # faults did fire
+        assert_same_outcomes(got, want)
 
     def test_deadline_contradicts_batch(self):
-        with pytest.raises(RuntimeConfigError, match="deadline"):
-            RuntimeConfig(batch_size=2, deadline_s=1.0)
+        got = self._outcomes(RuntimeConfig(batch_size=2, deadline_s=600.0))
+        want = self._outcomes(RuntimeConfig(batch_size=1, deadline_s=600.0))
+        assert_same_outcomes(got, want)
+
+    def test_watchdog_runs_jobs_alone(self):
+        got = self._outcomes(RuntimeConfig(batch_size=2, watchdog_s=600.0))
+        want = self._outcomes(RuntimeConfig(batch_size=1, watchdog_s=600.0))
+        assert_same_outcomes(got, want)
 
     def test_custom_flow_fn_contradicts_batch(self):
         from test_parallel_executor import toy_flow
 
-        with pytest.raises(RuntimeConfigError, match="flow_fn"):
-            FlowSession(RuntimeConfig(batch_size=2), flow_fn=toy_flow)
+        got = self._outcomes(RuntimeConfig(batch_size=2), flow_fn=toy_flow)
+        want = self._outcomes(RuntimeConfig(batch_size=1), flow_fn=toy_flow)
+        assert_same_outcomes(got, want)
 
     def test_injected_executor_contradicts_batch(self):
-        with pytest.raises(RuntimeConfigError, match="batch_size"):
-            FlowSession(
-                RuntimeConfig(batch_size=2), executor=FlowExecutor()
-            )
+        got = self._outcomes(
+            RuntimeConfig(batch_size=2), executor=FlowExecutor()
+        )
+        want = self._outcomes(
+            RuntimeConfig(batch_size=1), executor=FlowExecutor()
+        )
+        assert_same_outcomes(got, want)
 
     def test_executor_layer_rejects_flow_fn(self):
         from test_parallel_executor import toy_flow
 
-        with pytest.raises(ValueError, match="flow_fn"):
-            ParallelFlowExecutor(batch_size=2, flow_fn=toy_flow)
+        reports = {}
+        for batch_size in (1, 2):
+            with ParallelFlowExecutor(
+                batch_size=batch_size, flow_fn=toy_flow
+            ) as executor:
+                reports[batch_size] = executor.run_batch(tiny_jobs())
+                assert executor.batch_calls == 0
+        assert_same_outcomes(reports[2], reports[1])
         with pytest.raises(ValueError, match="batch_size"):
             ParallelFlowExecutor(batch_size=0)
 
@@ -312,14 +492,22 @@ class TestCliBatchFlag:
         assert _runtime_from_args(args).batch_size == 8
 
     def test_contradiction_is_typed(self):
+        """Chaos with --batch-size > 1 constructs and runs job by job,
+        exactly as --batch-size 1 does."""
         from repro.cli import _runtime_from_args, build_parser
 
-        args = build_parser().parse_args(
-            ["evaluate", "--dataset", "d.pkl", "--model", "m.npz",
-             "--batch-size", "4", "--chaos-rate", "0.5"]
-        )
-        with pytest.raises(RuntimeConfigError):
-            _runtime_from_args(args, fault_plan=FaultPlan(rate=0.5))
+        plan = FaultPlan(rate=0.5, kinds=(FaultKind.CRASH,), seed=3)
+        outcomes = {}
+        for width in ("4", "1"):
+            args = build_parser().parse_args(
+                ["evaluate", "--dataset", "d.pkl", "--model", "m.npz",
+                 "--batch-size", width, "--chaos-rate", "0.5"]
+            )
+            config = _runtime_from_args(args, fault_plan=plan)
+            assert config.batch_size == int(width)
+            with FlowSession(config) as session:
+                outcomes[width] = session.evaluate(tiny_jobs())
+        assert_same_outcomes(outcomes["4"], outcomes["1"])
 
 
 # ----------------------------------------------------------------------
@@ -357,3 +545,45 @@ class TestBatchReportSection:
         assert stats["batch_grouped_jobs"] == 3
         assert stats["batch_max_width"] == 3
         assert 0.0 <= stats["batch_padding_waste"] < 1.0
+
+    @pytest.mark.parametrize("batch_size", (1, 16))
+    def test_traced_session_counts_every_flow(self, batch_size):
+        """Stacked or not, each of K jobs is one ``flow_runs_total`` and
+        one ``flow_attempts_total``, and every flow span hangs under
+        ``flow.batch`` (a stack as one ``flow.stack`` span)."""
+        jobs = tiny_jobs()
+        exporter = InMemoryExporter()
+        registry = MetricsRegistry()
+        previous_tracer = set_tracer(Tracer(exporter=exporter))
+        previous_registry = set_registry(registry)
+        try:
+            with FlowSession(RuntimeConfig(batch_size=batch_size)) as s:
+                assert all(o.ok for o in s.evaluate(jobs))
+        finally:
+            set_tracer(previous_tracer)
+            set_registry(previous_registry)
+        assert registry.counter("flow_runs_total").value_of(status="ok") \
+            == len(jobs)
+        assert registry.counter("flow_attempts_total").value == len(jobs)
+        records = exporter.records()
+        by_id = {record.span_id: record for record in records}
+        (batch,) = [r for r in records if r.name == "flow.batch"]
+        flow_spans = [r for r in records if r.name != "flow.batch"]
+        assert flow_spans
+        for record in flow_spans:
+            parent = by_id[record.parent_id]
+            while parent.span_id != batch.span_id:
+                parent = by_id[parent.parent_id]
+        stacks = [r for r in records if r.name == "flow.stack"]
+        if batch_size == 1:
+            assert not stacks
+        else:
+            (stack,) = stacks
+            assert stack.parent_id == batch.span_id
+            assert stack.attributes == {
+                "design": str(jobs[0][0]), "seed": 0, "width": len(jobs),
+            }
+
+
+if __name__ == "__main__":
+    print(f"wrote {write_pins()} pins to {GOLDEN_PINS}")

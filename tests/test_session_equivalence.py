@@ -77,8 +77,9 @@ class TestDatasetEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self):
+        """Every job on its own (width 1); the sessions under test stack."""
         return build_offline_dataset(
-            runtime=RuntimeConfig(workers=1), **self.KWARGS
+            runtime=RuntimeConfig(workers=1, batch_size=1), **self.KWARGS
         )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -151,10 +152,11 @@ class TestBaselineEquivalence:
 
 # ----------------------------------------------------------------------
 # Online loop: legacy = the sequential FlowExecutor the tuner used to
-# build itself (preserved verbatim as the injected-executor path).
+# build itself (preserved verbatim as the injected-executor path), on
+# the scalar engine it ran then.
 # ----------------------------------------------------------------------
 class TestOnlineEquivalence:
-    BASE = dict(iterations=2, k=2, seed=21, explore_samples=1)
+    BASE = dict(iterations=2, k=5, seed=21, explore_samples=1)
 
     @pytest.fixture(scope="class")
     def archive(self):
@@ -169,17 +171,18 @@ class TestOnlineEquivalence:
         model = InsightAlignModel(seed=21)
         tuner = OnlineFineTuner(config, executor=executor)
         try:
-            return tuner.run(model, archive, "D6"), model
+            result = tuner.run(model, archive, "D6")
+            return result, model, tuner.session.stats()
         finally:
             tuner.close()
 
     @pytest.fixture(scope="class")
     def legacy(self, archive, tmp_path_factory):
         path = tmp_path_factory.mktemp("legacy") / "online.ck"
-        result, model = self._run(
+        result, model, _ = self._run(
             archive,
             OnlineConfig(checkpoint_path=str(path), **self.BASE),
-            executor=FlowExecutor(),
+            executor=FlowExecutor(flow_fn=run_flow),
         )
         return result, model, path.read_bytes()
 
@@ -197,12 +200,16 @@ class TestOnlineEquivalence:
             ),
             seed=self.BASE["seed"],
         )
-        result, model = self._run(
+        result, model, stats = self._run(
             archive,
             OnlineConfig(
                 runtime=runtime, checkpoint_path=str(path), **self.BASE
             ),
         )
+        # K = 5 proposals per iteration stack wherever they run: one
+        # 5-lane stack in process, 3 + 2 over two pool workers, 2 + 2 + 1
+        # over four.
+        assert stats["batch_max_width"] == {1: 5, 2: 3, 4: 2}[workers]
         assert len(result.records) == len(want_result.records)
         for got, want in zip(result.records, want_result.records):
             assert got.recipe_sets == want.recipe_sets
