@@ -22,7 +22,11 @@ Set ``REPRO_PARALLEL_BENCH_TINY=1`` for the CI smoke configuration
 ``batch_size``-wide array-vectorized evaluation of real simulated flows
 vs. the scalar single-process loop, results asserted bit-identical.
 Acceptance gate (ISSUE 10): >= 3x at batch 16 on D3, or >= 1.3x in the
-tiny CI configuration (batch 8 on D10).
+tiny CI configuration (batch 8 on D10).  The gated jobs differ only in
+``opt.vt_swap_bias``, so all but one lane are placement twins (they copy
+one placement); an ungated twin-free row, which varies
+``PlacerParams.effort`` per lane, keeps the stacking gain on its own
+visible.
 """
 
 import os
@@ -31,7 +35,7 @@ import time
 
 import pytest
 
-from repro.flow.parameters import FlowParameters, OptParams
+from repro.flow.parameters import FlowParameters, OptParams, PlacerParams
 from repro.flow.result import FlowResult
 from repro.flow.runner import REQUIRED_QOR_KEYS, run_flow
 from repro.runtime import (
@@ -215,6 +219,35 @@ BATCH_WIDTH = 8 if BATCH_TINY else 16
 BATCH_GATE = 1.3 if BATCH_TINY else 3.0
 
 
+def _scalar_vs_stacked(jobs):
+    """Time ``jobs`` through the scalar engine and as one stack; the
+    stacked results must equal the scalar bits."""
+    # The scalar engine, named explicitly: the default is stacked.
+    with ParallelFlowExecutor(workers=1, flow_fn=run_flow) as scalar:
+        started = time.perf_counter()
+        scalar_results = scalar.execute_batch(jobs)
+        scalar_s = time.perf_counter() - started
+
+    with ParallelFlowExecutor(workers=1, batch_size=BATCH_WIDTH) as stacked:
+        started = time.perf_counter()
+        stacked_results = stacked.execute_batch(jobs)
+        stacked_s = time.perf_counter() - started
+        stats = stacked.stats()
+
+    # The speedup only counts against the identical bits.
+    assert [pickle.dumps(r, 5) for r in stacked_results] == \
+        [pickle.dumps(r, 5) for r in scalar_results]
+    assert stats["batch_calls"] == 1
+    assert stats["batch_max_width"] == BATCH_WIDTH
+    return {
+        "scalar_s": scalar_s,
+        "stacked_s": stacked_s,
+        "speedup": scalar_s / stacked_s,
+        "padding_waste": stats["batch_padding_waste"],
+        "placement_twins": stats["batch_placement_twins"],
+    }
+
+
 def test_batch_flow_speedup(benchmark, request):
     if not (request.config.getoption("--batch")
             or os.environ.get("REPRO_FLOW_BENCH_BATCH")):
@@ -225,48 +258,36 @@ def test_batch_flow_speedup(benchmark, request):
             vt_swap_bias=1.0 + 0.02 * index)), seed=5)
         for index in range(BATCH_WIDTH)
     ]
+    twin_free_jobs = [
+        FlowJob(BATCH_DESIGN, FlowParameters(
+            placer=PlacerParams(effort=1.0 + 0.02 * index),
+            opt=OptParams(vt_swap_bias=1.0 + 0.02 * index)), seed=5)
+        for index in range(BATCH_WIDTH)
+    ]
 
     def run_all():
         # Warm the pristine-netlist cache so neither side pays generation.
         from repro.flow.runner import fresh_netlists
 
         fresh_netlists(BATCH_DESIGN, 5, 1)
+        table = _scalar_vs_stacked(jobs)
+        twin_free = _scalar_vs_stacked(twin_free_jobs)
+        assert twin_free["placement_twins"] == 0
+        return table, twin_free
 
-        # The scalar engine, named explicitly: the default is stacked.
-        with ParallelFlowExecutor(workers=1, flow_fn=run_flow) as scalar:
-            started = time.perf_counter()
-            scalar_results = scalar.execute_batch(jobs)
-            scalar_s = time.perf_counter() - started
-
-        with ParallelFlowExecutor(
-            workers=1, batch_size=BATCH_WIDTH
-        ) as stacked:
-            started = time.perf_counter()
-            stacked_results = stacked.execute_batch(jobs)
-            stacked_s = time.perf_counter() - started
-            stats = stacked.stats()
-
-        # The speedup only counts against the identical bits.
-        assert [pickle.dumps(r, 5) for r in stacked_results] == \
-            [pickle.dumps(r, 5) for r in scalar_results]
-        assert stats["batch_calls"] == 1
-        assert stats["batch_max_width"] == BATCH_WIDTH
-        return {
-            "scalar_s": scalar_s,
-            "stacked_s": stacked_s,
-            "speedup": scalar_s / stacked_s,
-            "padding_waste": stats["batch_padding_waste"],
-        }
-
-    table = run_once(benchmark, run_all)
+    table, twin_free = run_once(benchmark, run_all)
 
     print(f"\n=== Stacked batch simulator ({BATCH_DESIGN}, "
           f"batch {BATCH_WIDTH}) ===")
-    print(f"scalar {table['scalar_s']:>7.2f}s   "
-          f"stacked {table['stacked_s']:>7.2f}s   "
-          f"speedup {table['speedup']:>5.2f}x   "
-          f"(gate >= {BATCH_GATE:.1f}x)   "
-          f"padding waste {table['padding_waste']:.3f}")
+    for label, row, gate in (
+        ("gated", table, f"(gate >= {BATCH_GATE:.1f}x)"),
+        ("twin-free", twin_free, "(ungated)"),
+    ):
+        print(f"{label:<10} scalar {row['scalar_s']:>7.2f}s   "
+              f"stacked {row['stacked_s']:>7.2f}s   "
+              f"speedup {row['speedup']:>5.2f}x   {gate:<16} "
+              f"padding waste {row['padding_waste']:.3f}   "
+              f"placement twins {row['placement_twins']}")
 
     assert table["speedup"] >= BATCH_GATE, (
         f"stacked simulator only {table['speedup']:.2f}x at batch "
@@ -287,5 +308,7 @@ def test_batch_flow_speedup(benchmark, request):
             "design": BATCH_DESIGN,
             "batch_width": BATCH_WIDTH,
             "padding_waste": table["padding_waste"],
+            "placement_twins": table["placement_twins"],
         },
+        ungated={"twin_free": twin_free},
     )

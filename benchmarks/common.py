@@ -106,12 +106,14 @@ def record_bench(
     gates: Optional[Dict[str, object]] = None,
     medians: Optional[Dict[str, float]] = None,
     config: Optional[Dict[str, object]] = None,
+    ungated: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> Optional[Path]:
     """Write ``BENCH_<name>.json`` if a JSON target is configured.
 
-    Returns the written path, or ``None`` when emission is off (no
-    ``--json`` flag and no ``REPRO_BENCH_JSON`` env var) — benches call
-    this unconditionally.
+    ``ungated`` holds named measurement rows reported next to the gates
+    but not asserted.  Returns the written path, or ``None`` when emission
+    is off (no ``--json`` flag and no ``REPRO_BENCH_JSON`` env var) —
+    benches call this unconditionally.
     """
     target = _JSON_TARGET or os.environ.get("REPRO_BENCH_JSON") or None
     if not target:
@@ -125,6 +127,8 @@ def record_bench(
         "medians": medians or {},
         "config": config or {},
     }
+    if ungated:
+        payload["ungated"] = ungated
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")

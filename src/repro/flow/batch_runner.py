@@ -73,10 +73,13 @@ def run_flow_batch(
 
     Jobs are grouped by (profile name, seed); each group shares one compiled
     design and runs as one stack.  ``stats``, when given, accumulates batch
-    bookkeeping: ``jobs`` / ``calls`` totals plus ``lane_steps`` and
+    bookkeeping: ``jobs`` / ``calls`` totals, ``placement_twins`` (lanes
+    whose placer settings repeat an earlier lane's, so they copy its
+    placement instead of computing one), plus ``lane_steps`` and
     ``frozen_steps`` from the iterative kernels (frozen steps are the
     padding-waste measure — lane-iterations held masked because a sibling
-    lane had a larger budget).
+    lane had a larger budget).  Both step counts cover computed lanes
+    only: placement twins add none.
     """
     groups: Dict[Tuple[str, int], List[int]] = {}
     profiles: List[DesignProfile] = []

@@ -97,12 +97,14 @@ def render_supervision(metrics: Dict[str, object]) -> str:
 
 
 # Batch-simulator families, rendered as their own section: how many
-# stacked evaluations ran, how many jobs they grouped, and the widest
-# stack seen.  (name, human label) in display order.
+# stacked evaluations ran, how many jobs they grouped, the widest stack
+# seen, and how many lanes copied a twin's placement.  (name, human
+# label) in display order.
 BATCH_METRICS = (
     ("flow_batch_calls_total", "stacked evaluations"),
     ("flow_batch_jobs_total", "jobs in stacked evaluations"),
     ("flow_batch_width", "widest stacked call"),
+    ("flow_batch_placement_twins_total", "placement twins"),
 )
 
 

@@ -1,32 +1,46 @@
 """Stacked force-directed placement over N lanes of one compiled design.
 
-``place_batch`` runs the scalar placer's iteration loop on ``(B, n, 2)``
-position stacks: the elementwise force math (attraction step, spreading
-push, annealing, clipping) is evaluated once for all lanes, while the
-scatter/gather ops that must preserve per-bin accumulation order
-(``np.add.at`` centroids, density maps, RUDY refreshes) run per lane on the
-lane's slice — ``ufunc.at`` is sequential in index order, so per-lane calls
-reproduce the scalar bits exactly.
+``place_batch`` places once per *distinct* :class:`PlacerParams`.  Lanes
+whose placer settings have the same bits share the pristine netlist and the
+``derive_rng(seed, "placer", name)`` stream, so they would place
+identically: such *twins* copy their representative's final positions,
+wire lengths and result values, while each still gets its own cell
+positions, wire annotation, wire-state refresh and
+:class:`PlacementResult`.
 
-Lanes differ only in :class:`PlacerParams` (and therefore iteration count);
-a lane whose iteration budget is exhausted is *frozen* — masked out of every
-update rather than padded through the math — and the frozen lane-iterations
-are reported as padding waste.  Legalization, row snapping and wirelength
-annotation reuse the scalar helpers verbatim per lane, consuming the lane's
-own RNG stream exactly where the scalar placer would.
+The distinct settings run the scalar placer's iteration loop as *slots* of
+one ``(U, n, 2)`` position stack, and every stage works on the whole stack
+at once.  The elementwise force math (attraction step, spreading push,
+annealing, clipping) is evaluated once for all slots.  Every scatter (net
+centroids, cell targets, the density map, the RUDY difference array) is
+one ``np.bincount`` over slot-offset flat indices with x and y interleaved.
+``np.bincount`` sums each bin sequentially from 0.0 in index order, exactly
+like the scalar placer's ``np.add.at``, so the stack reproduces the scalar
+bits.  Per-net bounding boxes are one ``np.minimum.at`` /
+``np.maximum.at`` over the same flat indices: the scalar ``_boxes_fast``
+ops on a longer array, signed zeros included.
+
+Slots are sorted by iteration budget, so the active slots are always a
+prefix of the stack.  A slot whose budget is exhausted is *frozen*: left
+out of every update rather than padded through the math, and the frozen
+slot-iterations are reported as padding waste.  Legalization, row snapping
+and wirelength annotation reuse the scalar helpers per slot, consuming the
+slot's own RNG stream exactly where the scalar placer would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import copy
+from dataclasses import astuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.compiled import CompiledDesign, LaneState
 from repro.placement.congestion import (
+    bin_supply,
     classify_congestion,
     congestion_summary,
-    rudy_map_fast,
 )
 from repro.placement.grid import PlacementGrid
 from repro.placement.placer import (
@@ -35,7 +49,6 @@ from repro.placement.placer import (
     PlacementResult,
     PlacerParams,
     _annotate_wirelengths,
-    _boxes_fast,
     _cluster_seeds,
     _initial_positions,
     _routing_supply_per_bin,
@@ -139,6 +152,146 @@ def _legalize_fast(positions, grid: PlacementGrid, areas, width, height, rng):
     return np.clip(positions, 0.0, [width, height])
 
 
+class _StackIndex:
+    """Slot-offset flat indices of one design's placement stacks.
+
+    Built once for ``slots`` slots.  The slot is the leading axis of every
+    index array, so a stack of its first ``h`` slots uses a prefix.
+    """
+
+    def __init__(self, design: CompiledDesign, grid: PlacementGrid,
+                 slots: int, supply_um_per_bin: float) -> None:
+        self.cells = len(design.p_names)
+        self.nets = len(design.p_net_sizes)
+        self.pins = 2 * len(design.pin_cell)  # flat (pin, dim) entries
+        slot = np.arange(slots)[:, None, None]
+        dim = np.arange(2)
+        # (slot, pin, dim) -> flat (slot, cell, dim) / (slot, net, dim).
+        self.pin_cell = (
+            (slot * self.cells + design.pin_cell[:, None]) * 2 + dim
+        ).ravel()
+        self.pin_net = (
+            (slot * self.nets + design.pin_net[:, None]) * 2 + dim
+        ).ravel()
+        self.steiner = 1.0 + 0.18 * np.log2(
+            np.maximum(2, design.p_net_sizes) / 2.0
+        )
+        self.areas = np.tile(design.p_area, slots)
+        self.pitch = np.array([grid.bin_width_um, grid.bin_height_um])
+        self.last_bin = np.array([grid.bins_x - 1, grid.bins_y - 1])
+        self.bins_x, self.bins_y = grid.bins_x, grid.bins_y
+        self.bin_offset = np.arange(slots)[:, None] * (self.bins_y * self.bins_x)
+        self.diff_width = self.bins_x + 1
+        self.diff_offset = (
+            np.arange(slots)[:, None] * ((self.bins_y + 1) * self.diff_width)
+        )
+        self.supply = bin_supply(grid, supply_um_per_bin)
+
+    def pin_xy(self, positions: np.ndarray) -> np.ndarray:
+        """Flat (slot, pin, dim) coordinates of a contiguous stack."""
+        h = len(positions)
+        return positions.reshape(-1).take(self.pin_cell[: h * self.pins])
+
+    def to_nets(self, h: int, values: np.ndarray) -> np.ndarray:
+        """Sum flat (slot, pin, dim) values per net: ``(h, nets, 2)``."""
+        return np.bincount(
+            self.pin_net[: h * self.pins], weights=values,
+            minlength=h * self.nets * 2,
+        ).reshape(h, self.nets, 2)
+
+    def to_cells(self, h: int, values: np.ndarray) -> np.ndarray:
+        """Sum flat (slot, pin, dim) values per cell: ``(h, cells, 2)``."""
+        return np.bincount(
+            self.pin_cell[: h * self.pins], weights=values,
+            minlength=h * self.cells * 2,
+        ).reshape(h, self.cells, 2)
+
+    def at_pins(self, per_net: np.ndarray) -> np.ndarray:
+        """Gather a contiguous ``(h, nets, 2)`` array at every pin."""
+        h = len(per_net)
+        return per_net.reshape(-1).take(self.pin_net[: h * self.pins])
+
+    def boxes(self, h: int, pin_xy: np.ndarray):
+        """Per-net ``(lo, hi)`` corners, ``(h, nets, 2)`` each, and the
+        Steiner-corrected lengths ``(h, nets)`` (``placer._boxes_fast``)."""
+        index = self.pin_net[: h * self.pins]
+        lo = np.full(h * self.nets * 2, np.inf)
+        hi = np.full(h * self.nets * 2, -np.inf)
+        np.minimum.at(lo, index, pin_xy)
+        np.maximum.at(hi, index, pin_xy)
+        lo = lo.reshape(h, self.nets, 2)
+        hi = hi.reshape(h, self.nets, 2)
+        hpwl = (hi[..., 0] - lo[..., 0]) + (hi[..., 1] - lo[..., 1])
+        return lo, hi, hpwl * self.steiner
+
+    def bin_xy(self, xy: np.ndarray) -> np.ndarray:
+        """``grid.bin_indices`` of an ``(..., 2)`` array: (col, row) pairs."""
+        cell = (xy / self.pitch).astype(np.int64)
+        return np.minimum(np.maximum(cell, 0), self.last_bin)
+
+    def bins(self, xy: np.ndarray) -> np.ndarray:
+        """Flat ``row * bins_x + col`` bin of each point of ``(h, n, 2)``."""
+        cell = self.bin_xy(xy)
+        return cell[..., 1] * self.bins_x + cell[..., 0]
+
+    def used_area(self, positions: np.ndarray) -> np.ndarray:
+        """Cell area per bin of a contiguous stack: ``(h, bins_y, bins_x)``."""
+        h = len(positions)
+        flat = (self.bins(positions) + self.bin_offset[:h]).ravel()
+        return np.bincount(
+            flat, weights=self.areas[: h * self.cells],
+            minlength=h * self.bins_y * self.bins_x,
+        ).reshape(h, self.bins_y, self.bins_x)
+
+    def rudy(self, lo: np.ndarray, hi: np.ndarray,
+             lengths: np.ndarray) -> np.ndarray:
+        """``rudy_map_fast`` of every slot: ``(h, bins_y, bins_x)``.
+
+        The four corner scatters go into one difference array per slot in
+        the scalar order (all top-left corners, then top-right, bottom-left
+        and bottom-right), so each bin sums its terms in the same sequence.
+        """
+        h = len(lengths)
+        c0, r0 = np.moveaxis(self.bin_xy(lo), -1, 0)
+        c1, r1 = np.moveaxis(self.bin_xy(hi), -1, 0)
+        span = (r1 - r0 + 1) * (c1 - c0 + 1)
+        value = np.where(lengths > 0, lengths / span, 0.0)
+        top, bottom = r0 * self.diff_width, (r1 + 1) * self.diff_width
+        index = np.concatenate(
+            [top + c0, top + c1 + 1, bottom + c0, bottom + c1 + 1], axis=1
+        ) + self.diff_offset[:h]
+        weights = np.concatenate([value, -value, -value, value], axis=1)
+        diff = np.bincount(
+            index.ravel(), weights=weights.ravel(),
+            minlength=h * (self.bins_y + 1) * self.diff_width,
+        ).reshape(h, self.bins_y + 1, self.diff_width)
+        demand = diff.cumsum(axis=1).cumsum(axis=2)[:, : self.bins_y, : self.bins_x]
+        return demand / self.supply
+
+
+def _iterations(params: PlacerParams) -> int:
+    """The scalar placer's iteration budget for ``params``."""
+    return max(8, int(round(36 * params.effort)))
+
+
+def _placer_slots(
+    params_list: Sequence[PlacerParams],
+) -> Tuple[List[PlacerParams], List[int]]:
+    """Distinct placer settings, longest iteration budget first (stable),
+    and each lane's slot among them.
+
+    Settings are keyed on the ``repr`` of their field tuple, so lanes merge
+    only when every field has the same bits: ``0.0`` and ``-0.0`` never do.
+    """
+    keys = [repr(astuple(params)) for params in params_list]
+    distinct: Dict[str, PlacerParams] = {}
+    for key, params in zip(keys, params_list):
+        distinct.setdefault(key, params)
+    order = sorted(distinct, key=lambda key: -_iterations(distinct[key]))
+    slot_of = {key: slot for slot, key in enumerate(order)}
+    return [distinct[key] for key in order], [slot_of[key] for key in keys]
+
+
 def place_batch(
     design: CompiledDesign,
     lanes: Sequence[LaneState],
@@ -146,165 +299,161 @@ def place_batch(
     seed: int = 0,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[PlacementResult]:
-    """Place every lane's netlist in-place; one :class:`PlacementResult` each."""
-    B = len(lanes)
+    """Place every lane's netlist in-place; one :class:`PlacementResult` each.
+
+    Every lane must hold a pristine copy of ``design``'s netlist.  ``stats``
+    accumulates ``placement_twins`` (lanes that copied a twin's placement)
+    and the ``lane_steps`` / ``frozen_steps`` of the placed slots.
+    """
     netlist0 = lanes[0].netlist
     n = len(design.p_names)
     width, height = netlist0.die_width_um, netlist0.die_height_um
     target_bins = int(np.clip(np.sqrt(n) / 2.2, 4, 16))
     grid = PlacementGrid.for_die(width, height, netlist0.blockages, target_bins)
     areas = design.p_area
-    supply = _routing_supply_per_bin(netlist0, grid)
 
-    rngs = [derive_rng(seed, "placer", lane.netlist.name) for lane in lanes]
-    cells_per_lane = [
-        [lane.netlist.cells[name] for name in design.p_names] for lane in lanes
-    ]
-    positions = np.stack([
-        _initial_positions(cells_per_lane[b], lanes[b].netlist, rngs[b])
-        for b in range(B)
-    ])
-    cluster_seeds = _cluster_seeds(cells_per_lane[0], netlist0, rngs[0])
-
-    pin_cell = design.pin_cell
-    pin_net = design.pin_net
-    net_sizes = design.p_net_sizes
-    n_nets = len(net_sizes)
-    net_weights = [
-        (1.0 + p.timing_net_weight * design.p_net_crit) / np.sqrt(net_sizes - 1)
-        for p in params_list
-    ]
-    inv_net_sizes = 1.0 / np.maximum(1, net_sizes)
-    steiner_factor = 1.0 + 0.18 * np.log2(np.maximum(2, net_sizes) / 2.0)
-
-    iters = [max(8, int(round(36 * p.effort))) for p in params_list]
+    params, lane_slot = _placer_slots(params_list)
+    U = len(params)
+    iters = [_iterations(p) for p in params]
+    if stats is not None:
+        stats["placement_twins"] = (
+            stats.get("placement_twins", 0) + len(lanes) - U
+        )
+        stats["lane_steps"] = stats.get("lane_steps", 0) + sum(iters)
+        stats["frozen_steps"] = (
+            stats.get("frozen_steps", 0) + U * iters[0] - sum(iters)
+        )
     checkpoints = [
-        [max(1, int(round(f * iters[b]))) for f in _CHECKPOINT_FRACTIONS]
-        for b in range(B)
+        [max(1, int(round(f * budget))) for f in _CHECKPOINT_FRACTIONS]
+        for budget in iters
     ]
-    results = [
-        PlacementResult(grid=grid, total_hpwl_um=0.0, peak_density=0.0)
-        for _ in range(B)
-    ]
+    marks: List[Dict[str, Dict[str, float]]] = [{} for _ in range(U)]
+    levels: List[Dict[str, str]] = [{} for _ in range(U)]
 
-    cell_weight_sums = np.empty((B, n))
-    for b in range(B):
-        sums = np.zeros(n)
-        np.add.at(sums, pin_cell, net_weights[b][pin_net])
-        cell_weight_sums[b] = np.maximum(sums, 1e-9)
+    ix = _StackIndex(design, grid, U, _routing_supply_per_bin(netlist0, grid))
+    cells0 = [netlist0.cells[name] for name in design.p_names]
+    rng = derive_rng(seed, "placer", netlist0.name)
+    start = _initial_positions(cells0, netlist0, rng)
+    rngs = [copy.deepcopy(rng) for _ in range(U)]
+    cluster_seeds = _cluster_seeds(cells0, netlist0)
+    positions = np.repeat(start[None], U, axis=0)
+
+    net_weights = (
+        1.0 + np.array([p.timing_net_weight for p in params])[:, None]
+        * design.p_net_crit
+    ) / np.sqrt(design.p_net_sizes - 1)
+    pin_weights = net_weights[:, design.pin_net]  # (U, pins)
+    cell_weight_sums = np.bincount(
+        (np.arange(U)[:, None] * n + design.pin_cell).ravel(),
+        weights=pin_weights.ravel(), minlength=U * n,
+    ).reshape(U, n)
+    cell_weight_sums = np.maximum(cell_weight_sums, 1e-9)[:, :, None]
+    pin_weights = np.repeat(pin_weights, 2, axis=1).ravel()  # x, y interleaved
+    inv_net_sizes = (1.0 / np.maximum(1, design.p_net_sizes))[:, None]
+    density_targets = np.array([p.density_target for p in params])[:, None, None]
+    spreads = np.array([p.spread_strength for p in params])[:, None, None]
 
     if netlist0.blockages:
         blk_gy, blk_gx = np.gradient(grid.blockage_fraction)
-    cong_field = np.zeros((B, grid.bins_y, grid.bins_x))
-    max_iter = max(iters)
-    for iteration in range(1, max_iter + 1):
-        act = [b for b in range(B) if iteration <= iters[b]]
-        if stats is not None:
-            stats["lane_steps"] = stats.get("lane_steps", 0) + len(act)
-            stats["frozen_steps"] = stats.get("frozen_steps", 0) + (B - len(act))
-        k = len(act)
-        sub = positions[act]
-        progress = [iteration / iters[b] for b in act]
+        blk_gx, blk_gy = blk_gx.ravel(), blk_gy.ravel()
+    cong_field = np.zeros((U, grid.bins_y, grid.bins_x))
+    k = U
+    for iteration in range(1, iters[0] + 1):
+        while iters[k - 1] < iteration:
+            k -= 1
+        sub = positions[:k]
+        progress = [iteration / iters[s] for s in range(k)]
         prog = np.array(progress)[:, None, None]
 
-        centroids = np.zeros((k, n_nets, 2))
-        for j in range(k):
-            np.add.at(centroids[j], pin_net, sub[j][pin_cell])
-        centroids *= inv_net_sizes[None, :, None]
-        target = np.zeros((k, n, 2))
-        for j, b in enumerate(act):
-            np.add.at(
-                target[j], pin_cell,
-                centroids[j][pin_net] * net_weights[b][pin_net, None],
-            )
-        target /= cell_weight_sums[act][:, :, None]
-
+        # --- wirelength attraction: move toward weighted net centroids.
+        pin_xy = ix.pin_xy(sub)
+        centroids = ix.to_nets(k, pin_xy)
+        centroids *= inv_net_sizes
+        target = ix.to_cells(
+            k, ix.at_pins(centroids) * pin_weights[: k * ix.pins]
+        )
+        target /= cell_weight_sums[:k]
         step = 0.55 * (1.0 - 0.5 * prog)
         new_positions = sub + step * (target - sub)
 
-        for j, b in enumerate(act):
-            cluster_gain = params_list[b].cluster_attraction * max(
-                0.0, 1.0 - 2.5 * progress[j]
+        # --- cluster attraction, on the slots still inside its window.
+        gains = np.array([
+            p.cluster_attraction * max(0.0, 1.0 - 2.5 * fraction)
+            for p, fraction in zip(params, progress)
+        ])
+        pulled = np.flatnonzero(gains > 0.0)
+        if pulled.size:
+            new_positions[pulled] += gains[pulled, None, None] * 0.3 * (
+                cluster_seeds - new_positions[pulled]
             )
-            if cluster_gain > 0.0:
-                new_positions[j] += cluster_gain * 0.3 * (
-                    cluster_seeds - new_positions[j]
-                )
 
-        density = np.empty((k, grid.bins_y, grid.bins_x))
-        for j in range(k):
-            density[j] = grid.density_map(sub[j][:, 0], sub[j][:, 1], areas)
-        dtargets = np.array(
-            [params_list[b].density_target for b in act]
-        )[:, None, None]
-        overflow = np.maximum(0.0, density - dtargets)
+        # --- density spreading plus the refreshed congestion field.
+        density = grid.density_of(ix.used_area(sub))
+        overflow = np.maximum(0.0, density - density_targets[:k])
         if iteration % 5 == 0 or iteration == 1:
-            for j, b in enumerate(act):
-                boxes, lengths = _boxes_fast(
-                    sub[j], pin_cell, pin_net, n_nets, steiner_factor
-                )
-                rudy = rudy_map_fast(grid, boxes, lengths, supply)
-                cong_field[b] = np.maximum(0.0, rudy - 0.8)
-        spreads = np.array(
-            [params_list[b].spread_strength for b in act]
-        )[:, None, None]
-        overflow = overflow + spreads * 0.5 * cong_field[act]
+            rudy = ix.rudy(*ix.boxes(k, pin_xy))
+            cong_field[:k] = np.maximum(0.0, rudy - 0.8)
+        overflow = overflow + spreads[:k] * 0.5 * cong_field[:k]
         gy, gx = np.gradient(overflow, axis=(1, 2))
-        rows, cols = grid.bin_indices(
-            new_positions[:, :, 0], new_positions[:, :, 1]
+        bins = ix.bins(new_positions)
+        flat_bins = bins + ix.bin_offset[:k]
+        push = spreads[:k, :, 0] * (0.5 + prog[:, :, 0])
+        new_positions[:, :, 0] -= (
+            push * gx.reshape(-1).take(flat_bins) * grid.bin_width_um
         )
-        lane_ix = np.arange(k)[:, None]
-        push = spreads[:, :, 0] * (0.5 + np.array(progress)[:, None])
-        new_positions[:, :, 0] -= push * gx[lane_ix, rows, cols] * grid.bin_width_um
-        new_positions[:, :, 1] -= push * gy[lane_ix, rows, cols] * grid.bin_height_um
-
+        new_positions[:, :, 1] -= (
+            push * gy.reshape(-1).take(flat_bins) * grid.bin_height_um
+        )
         if netlist0.blockages:
-            new_positions[:, :, 0] -= 2.0 * blk_gx[rows, cols] * grid.bin_width_um
-            new_positions[:, :, 1] -= 2.0 * blk_gy[rows, cols] * grid.bin_height_um
+            new_positions[:, :, 0] -= 2.0 * blk_gx.take(bins) * grid.bin_width_um
+            new_positions[:, :, 1] -= 2.0 * blk_gy.take(bins) * grid.bin_height_um
 
-        for j, b in enumerate(act):
+        # --- annealed perturbation, each slot from its own stream.
+        for s in range(k):
             temperature = (
-                params_list[b].perturbation * 0.02 * width
-                * (1.0 - progress[j]) ** 2
+                params[s].perturbation * 0.02 * width * (1.0 - progress[s]) ** 2
             )
             if temperature > 0.0:
-                new_positions[j] += rngs[b].normal(0.0, temperature, size=(n, 2))
+                new_positions[s] += rngs[s].normal(0.0, temperature, size=(n, 2))
 
-        positions[act] = np.clip(new_positions, 0.0, [width, height])
+        positions[:k] = np.clip(new_positions, 0.0, [width, height])
 
-        for b in act:
-            if iteration in checkpoints[b]:
-                name = _CHECKPOINT_NAMES[checkpoints[b].index(iteration)]
-                boxes, lengths = _boxes_fast(
-                    positions[b], pin_cell, pin_net, n_nets, steiner_factor
-                )
-                snapshot = congestion_summary(
-                    rudy_map_fast(grid, boxes, lengths, supply)
-                )
-                results[b].congestion_checkpoints[name] = snapshot
-                results[b].congestion_levels[name] = classify_congestion(
-                    snapshot["peak"]
-                )
+        hit = [s for s in range(k) if iteration in checkpoints[s]]
+        if hit:
+            rudy = ix.rudy(*ix.boxes(len(hit), ix.pin_xy(positions[hit])))
+            for j, s in enumerate(hit):
+                name = _CHECKPOINT_NAMES[checkpoints[s].index(iteration)]
+                marks[s][name] = congestion_summary(rudy[j])
+                levels[s][name] = classify_congestion(marks[s][name]["peak"])
 
-    for b in range(B):
-        final = _legalize_fast(positions[b], grid, areas, width, height, rngs[b])
-        positions[b] = final
-        for cell, xy in zip(cells_per_lane[b], final):
-            cell.position = (float(xy[0]), float(xy[1]))
-        results[b].iterations_run = iters[b]
-        boxes, lengths = _boxes_fast(final, pin_cell, pin_net, n_nets, steiner_factor)
-        results[b].total_hpwl_um = _annotate_wirelengths(
-            lanes[b].netlist, design.p_net_names, lengths
-        )
-        density = grid.density_map(
-            final[:, 0], final[:, 1], areas, blockage_penalty=False
-        )
-        results[b].peak_density = float(density.max())
-        results[b].final_congestion = congestion_summary(
-            rudy_map_fast(grid, boxes, lengths, supply)
-        )
-        results[b].congestion_levels["final"] = classify_congestion(
-            results[b].final_congestion["peak"]
-        )
-        lanes[b].refresh_wire_state()
+    final = np.stack([
+        _legalize_fast(positions[s], grid, areas, width, height, rngs[s])
+        for s in range(U)
+    ])
+    lo, hi, lengths = ix.boxes(U, ix.pin_xy(final))
+    rudy = ix.rudy(lo, hi, lengths)
+    density = grid.density_of(ix.used_area(final), blockage_penalty=False)
+    final_congestion = [congestion_summary(rudy[s]) for s in range(U)]
+    for s in range(U):
+        levels[s]["final"] = classify_congestion(final_congestion[s]["peak"])
+
+    results = []
+    for lane, s in zip(lanes, lane_slot):
+        netlist = lane.netlist
+        for name, xy in zip(design.p_names, final[s].tolist()):
+            netlist.cells[name].position = tuple(xy)
+        results.append(PlacementResult(
+            grid=grid,
+            total_hpwl_um=_annotate_wirelengths(
+                netlist, design.p_net_names, lengths[s]
+            ),
+            peak_density=float(density[s].max()),
+            congestion_checkpoints={
+                name: dict(snapshot) for name, snapshot in marks[s].items()
+            },
+            congestion_levels=dict(levels[s]),
+            final_congestion=dict(final_congestion[s]),
+            iterations_run=iters[s],
+        ))
+        lane.refresh_wire_state()
     return results

@@ -58,8 +58,7 @@ def rudy_map(
         r1 = int(np.clip(ymax / bh, 0, grid.bins_y - 1))
         span = (r1 - r0 + 1) * (c1 - c0 + 1)
         demand[r0:r1 + 1, c0:c1 + 1] += length / span
-    supply = supply_um_per_bin * np.maximum(0.05, 1.0 - 0.8 * grid.blockage_fraction)
-    return demand / supply
+    return demand / bin_supply(grid, supply_um_per_bin)
 
 
 def rudy_map_fast(
@@ -74,8 +73,7 @@ def rudy_map_fast(
     in the placer's inner loop.
     """
     if len(boxes) == 0:
-        supply = supply_um_per_bin * np.maximum(0.05, 1.0 - 0.8 * grid.blockage_fraction)
-        return np.zeros((grid.bins_y, grid.bins_x)) / supply
+        return np.zeros((grid.bins_y, grid.bins_x)) / bin_supply(grid, supply_um_per_bin)
     bw, bh = grid.bin_width_um, grid.bin_height_um
     c0 = np.clip((boxes[:, 0] / bw).astype(np.int64), 0, grid.bins_x - 1)
     c1 = np.clip((boxes[:, 2] / bw).astype(np.int64), 0, grid.bins_x - 1)
@@ -89,8 +87,12 @@ def rudy_map_fast(
     np.add.at(diff, (r1 + 1, c0), -value)
     np.add.at(diff, (r1 + 1, c1 + 1), value)
     demand = diff.cumsum(axis=0).cumsum(axis=1)[: grid.bins_y, : grid.bins_x]
-    supply = supply_um_per_bin * np.maximum(0.05, 1.0 - 0.8 * grid.blockage_fraction)
-    return demand / supply
+    return demand / bin_supply(grid, supply_um_per_bin)
+
+
+def bin_supply(grid: PlacementGrid, supply_um_per_bin: float) -> np.ndarray:
+    """Per-bin routing supply: ``supply_um_per_bin`` shrunk by blockages."""
+    return supply_um_per_bin * np.maximum(0.05, 1.0 - 0.8 * grid.blockage_fraction)
 
 
 def congestion_overflow(congestion: np.ndarray, threshold: float = 1.0) -> float:

@@ -84,6 +84,11 @@ class PlacementGrid:
         rows, cols = self.bin_indices(xs, ys)
         used = np.zeros((self.bins_y, self.bins_x))
         np.add.at(used, (rows, cols), areas)
+        return self.density_of(used, blockage_penalty)
+
+    def density_of(self, used: np.ndarray, blockage_penalty: bool = True) -> np.ndarray:
+        """:meth:`density_map` of per-bin used area ``used``, shape
+        ``(..., bins_y, bins_x)`` — any leading axes are lanes."""
         # Clamp free area so fully-blocked bins keep density finite.
         free = self.bin_area_um2 * np.maximum(0.05, 1.0 - self.blockage_fraction)
         density = used / free

@@ -66,7 +66,6 @@ class PlacementResult:
     congestion_checkpoints: Dict[str, Dict[str, float]] = field(default_factory=dict)
     congestion_levels: Dict[str, str] = field(default_factory=dict)
     final_congestion: Dict[str, float] = field(default_factory=dict)
-    displacement_um: float = 0.0
     iterations_run: int = 0
 
     @property
@@ -89,7 +88,7 @@ def place(netlist: Netlist, params: PlacerParams, seed: int = 0) -> PlacementRes
     areas = np.array([c.area_um2 for c in cells])
 
     positions = _initial_positions(cells, netlist, rng)
-    cluster_seeds = _cluster_seeds(cells, netlist, rng)
+    cluster_seeds = _cluster_seeds(cells, netlist)
 
     pin_cell, pin_net, net_sizes, net_weights, net_names = _build_connectivity(
         netlist, index_of, params
@@ -210,22 +209,13 @@ def _boxes_fast(
 def _initial_positions(cells, netlist: Netlist, rng) -> np.ndarray:
     """Scatter cells near their cluster seed to start from a sane topology."""
     width, height = netlist.die_width_um, netlist.die_height_um
-    clusters = np.array([c.cluster for c in cells])
-    unique = np.unique(clusters)
-    grid_side = int(np.ceil(np.sqrt(len(unique))))
-    seeds = {}
-    for rank, cluster in enumerate(unique):
-        gx, gy = rank % grid_side, rank // grid_side
-        seeds[cluster] = (
-            (gx + 0.5) / grid_side * width,
-            (gy + 0.5) / grid_side * height,
-        )
-    positions = np.array([seeds[c] for c in clusters], dtype=np.float64)
+    positions = _cluster_seeds(cells, netlist)
     positions += rng.normal(0.0, 0.08 * width, size=positions.shape)
     return np.clip(positions, 0.0, [width, height])
 
 
-def _cluster_seeds(cells, netlist: Netlist, rng) -> np.ndarray:
+def _cluster_seeds(cells, netlist: Netlist) -> np.ndarray:
+    """Each cell's cluster seed: cluster centers on a square grid."""
     width, height = netlist.die_width_um, netlist.die_height_um
     clusters = np.array([c.cluster for c in cells])
     unique = np.unique(clusters)

@@ -151,8 +151,9 @@ class _JobGroup:
 
 class _GroupResult:
     """Envelope for a batched dispatch: one report per member job, plus
-    the stacked kernels' lane/frozen step counters (so padding waste is
-    observable even when the group ran inside a pool worker)."""
+    the stacked kernels' counters — lane/frozen steps and placement twins
+    — so they are observable even when the group ran inside a pool
+    worker."""
 
     __slots__ = ("reports", "stats")
 
@@ -260,8 +261,7 @@ def _execute_job(settings: _RunnerSettings, index: int,
 
 
 def _execute_group(settings: _RunnerSettings, group: _JobGroup,
-                   dispatch: int = 0,
-                   stats: Optional[Dict[str, int]] = None) -> _GroupResult:
+                   dispatch: int = 0) -> _GroupResult:
     """Run one compatible job group through the stacked batch pipeline.
 
     The stack is one ``flow.stack`` span, and each member counts in
@@ -310,9 +310,6 @@ def _execute_group(settings: _RunnerSettings, group: _JobGroup,
     registry = get_registry()
     registry.counter("flow_attempts_total").inc(len(results))
     registry.counter("flow_runs_total").inc(len(results), status="ok")
-    if stats is not None:
-        for key, value in local.items():
-            stats[key] = stats.get(key, 0) + value
     return _GroupResult([
         (index, FlowRunReport(
             design=str(job.design),
@@ -501,7 +498,7 @@ class _WorkerSupervisor:
         on_redispatch: Callable[[], None],
         on_poison: Callable[[], None],
         on_degrade: Callable[[], None],
-        batch_stats: Optional[Dict[str, int]] = None,
+        on_batch_stats: Callable[[Dict[str, int]], None],
     ) -> None:
         self._ctx = context
         self._settings = settings
@@ -516,7 +513,7 @@ class _WorkerSupervisor:
         self._on_redispatch = on_redispatch
         self._on_poison = on_poison
         self._on_degrade = on_degrade
-        self._batch_stats = batch_stats
+        self._on_batch_stats = on_batch_stats
         self._epoch = 0
         self._next_id = 0
         self.respawns = 0
@@ -613,11 +610,7 @@ class _WorkerSupervisor:
                 if isinstance(payload, _RemoteError):
                     raise payload.error
                 if isinstance(payload, _GroupResult):
-                    if self._batch_stats is not None:
-                        for key, value in payload.stats.items():
-                            self._batch_stats[key] = (
-                                self._batch_stats.get(key, 0) + value
-                            )
+                    self._on_batch_stats(payload.stats)
                     done.add(index)
                     for job_index, report in payload.reports:
                         done.add(job_index)
@@ -1137,9 +1130,9 @@ class ParallelFlowExecutor:
                         for index, task in tasks:
                             if isinstance(task, _JobGroup):
                                 grouped = _execute_group(
-                                    self._settings, task,
-                                    stats=self._batch_stats,
+                                    self._settings, task
                                 )
+                                self._note_batch_stats(grouped.stats)
                                 for job_index, report in grouped.reports:
                                     reports[job_index] = report
                                     queue_depth.dec()
@@ -1309,6 +1302,17 @@ class ParallelFlowExecutor:
         self.degraded = True
         get_registry().counter("flow_pool_degraded_total").inc()
 
+    def _note_batch_stats(self, stats: Dict[str, int]) -> None:
+        """Fold one stacked dispatch's kernel counters into the totals."""
+        twins = stats.get("placement_twins", 0)
+        if twins:
+            get_registry().counter(
+                "flow_batch_placement_twins_total"
+            ).inc(twins)
+        with self._counter_lock:
+            for key, value in stats.items():
+                self._batch_stats[key] = self._batch_stats.get(key, 0) + value
+
     def _ensure_pool(self, jobs: Sequence[FlowJob]) -> _WorkerSupervisor:
         if self._pool is None:
             context = multiprocessing.get_context(self._start_method)
@@ -1339,7 +1343,7 @@ class ParallelFlowExecutor:
                 on_redispatch=self._note_redispatch,
                 on_poison=self._note_poison,
                 on_degrade=self._note_degraded,
-                batch_stats=self._batch_stats,
+                on_batch_stats=self._note_batch_stats,
             )
         return self._pool
 
@@ -1376,8 +1380,9 @@ class ParallelFlowExecutor:
             batch_calls = self.batch_calls
             batch_grouped = self.batch_grouped_jobs
             batch_max_width = self.batch_max_width
-        lane_steps = self._batch_stats.get("lane_steps", 0)
-        frozen_steps = self._batch_stats.get("frozen_steps", 0)
+            lane_steps = self._batch_stats.get("lane_steps", 0)
+            frozen_steps = self._batch_stats.get("frozen_steps", 0)
+            twins = self._batch_stats.get("placement_twins", 0)
         total_steps = lane_steps + frozen_steps
         out: Dict[str, object] = {
             "workers": self.workers,
@@ -1388,6 +1393,7 @@ class ParallelFlowExecutor:
             "batch_padding_waste": (
                 frozen_steps / total_steps if total_steps else 0.0
             ),
+            "batch_placement_twins": twins,
             "jobs_run": jobs_run,
             "batches_run": batches_run,
             "pool_live": self._pool is not None,

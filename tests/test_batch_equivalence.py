@@ -21,6 +21,7 @@ Regenerate them only for an intentional change of the flow's physics.
 """
 
 import functools
+import itertools
 import json
 import math
 import pickle
@@ -39,7 +40,8 @@ from repro.flow.parameters import (
     RouteParams,
     TradeoffWeights,
 )
-from repro.flow.runner import run_flow
+from repro.flow.runner import fresh_netlists, run_flow
+from repro.netlist.compiled import CompiledDesign, LaneState
 from repro.netlist.profiles import design_profiles
 from repro.observability import (
     InMemoryExporter,
@@ -48,6 +50,7 @@ from repro.observability import (
     set_registry,
     set_tracer,
 )
+from repro.placement.batch import _placer_slots, place_batch
 from repro.runtime import (
     FaultKind,
     FaultPlan,
@@ -232,6 +235,153 @@ class TestKernelEquivalence:
         assert stats["jobs"] == 3
         assert stats["calls"] == 1
         assert stats["max_width"] == 3
+
+
+# ----------------------------------------------------------------------
+# Placement twins: lanes with bit-identical PlacerParams place once.
+# ----------------------------------------------------------------------
+PLACER_A = PlacerParams(effort=1.1, spread_strength=1.3)
+# [A, B, A', C, A'']: the A-lanes share PlacerParams but differ in
+# CTS, routing and optimization; C turns annealing and clustering off.
+TWIN_STACK = (
+    FlowParameters(placer=PLACER_A),
+    FlowParameters(placer=PlacerParams(effort=0.8, timing_net_weight=2.0)),
+    FlowParameters(
+        placer=PLACER_A,
+        cts=CtsParams(max_cluster_size=6, buffer_drive=8),
+        opt=OptParams(vt_swap_bias=0.8),
+    ),
+    FlowParameters(
+        placer=PlacerParams(perturbation=0.0, cluster_attraction=0.0)
+    ),
+    FlowParameters(
+        placer=PLACER_A,
+        route=RouteParams(effort=0.7, layer_promotion=0.15),
+        opt=OptParams(setup_passes=4),
+    ),
+)
+A_LANES = (0, 2, 4)
+
+
+class TestPlacementTwins:
+    @pytest.fixture
+    def placed(self):
+        """``place_batch`` on the twin stack: lanes, results, stats."""
+        netlists = fresh_netlists(tiny_profile(), 0, len(TWIN_STACK))
+        design = CompiledDesign(netlists[0])
+        lanes = [LaneState(design, netlist) for netlist in netlists]
+        stats = {}
+        results = place_batch(
+            design, lanes, [p.placer for p in TWIN_STACK], seed=0,
+            stats=stats,
+        )
+        return lanes, results, stats
+
+    def test_twin_stack_matches_scalar(self):
+        jobs = [(tiny_profile(), params, 0) for params in TWIN_STACK]
+        stats = {}
+        gots = run_flow_batch(jobs, stats=stats)
+        assert stats["placement_twins"] == 2
+        for i, ((design, params, seed), got) in enumerate(zip(jobs, gots)):
+            ref = run_flow(design, params, seed=seed)
+            assert_results_identical(ref, got, f"twin stack[{i}]")
+
+    def test_twins_share_no_netlist_objects(self, placed):
+        lanes, _, stats = placed
+        assert stats["placement_twins"] == 2
+        for a, b in itertools.combinations(A_LANES, 2):
+            one, two = lanes[a].netlist, lanes[b].netlist
+            assert not {id(c) for c in one.cells.values()} & \
+                {id(c) for c in two.cells.values()}
+            assert not {id(n) for n in one.nets.values()} & \
+                {id(n) for n in two.nets.values()}
+            for name in lanes[a].design.p_names:
+                mine, theirs = one.cells[name].position, two.cells[name].position
+                assert mine == theirs and mine is not theirs
+            assert [n.wire_length_um for n in one.nets.values()] == \
+                [n.wire_length_um for n in two.nets.values()]
+            assert lanes[a].wire_cap is not lanes[b].wire_cap
+            assert lanes[a].wire_cap.tobytes() == lanes[b].wire_cap.tobytes()
+
+    def test_twin_results_are_independent(self, placed):
+        _, results, _ = placed
+        first, *others = [results[i] for i in A_LANES]
+        assert all(other is not first for other in others)
+        before = [pickle.dumps(other, 5) for other in others]
+        assert all(pickle.dumps(first, 5) == b for b in before)
+        first.congestion_checkpoints["early"]["peak"] = -1.0
+        first.congestion_checkpoints["extra"] = {}
+        first.congestion_levels["final"] = "mutated"
+        first.final_congestion["peak"] = -1.0
+        assert [pickle.dumps(other, 5) for other in others] == before
+
+    def test_all_twin_stack_places_one_lane(self):
+        """16 lanes with one placer setting: 15 copy the placement, and
+        every lane still equals its scalar run."""
+        jobs = [
+            (tiny_profile(),
+             FlowParameters(placer=PLACER_A,
+                            opt=OptParams(vt_swap_bias=1.0 + 0.02 * i)),
+             0)
+            for i in range(16)
+        ]
+        stats = {}
+        gots = run_flow_batch(jobs, stats=stats)
+        assert stats["placement_twins"] == 15
+        for i, ((design, params, seed), got) in enumerate(zip(jobs, gots)):
+            ref = run_flow(design, params, seed=seed)
+            assert_results_identical(ref, got, f"all-twin[{i}]")
+
+    def test_twins_key_on_field_bits(self):
+        """``0.0`` and ``-0.0`` compare equal but never merge."""
+        params = [
+            PlacerParams(perturbation=0.0),
+            PlacerParams(perturbation=-0.0),
+            PlacerParams(perturbation=0.0),
+            PlacerParams(effort=2.0),
+        ]
+        distinct, slots = _placer_slots(params)
+        assert len(distinct) == 3
+        assert distinct[0] == PlacerParams(effort=2.0)  # longest budget first
+        assert slots[0] == slots[2] != slots[1]
+
+    @pytest.mark.parametrize("workers,twins", ((1, 3), (2, 1)))
+    def test_session_reports_twins(self, workers, twins):
+        """A 5-lane stack with 2 distinct placer settings has 3 twins at
+        workers=1; at workers=2 it runs as stacks [A, A, B] and [A, B],
+        which hold 1."""
+        other = PlacerParams(effort=0.8)
+        jobs = [
+            (tiny_profile(),
+             FlowParameters(placer=placer,
+                            opt=OptParams(vt_swap_bias=0.9 + 0.05 * i)),
+             0)
+            for i, placer in enumerate(
+                (PLACER_A, PLACER_A, other, PLACER_A, other)
+            )
+        ]
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with FlowSession(RuntimeConfig(workers=workers)) as session:
+                assert all(o.ok for o in session.evaluate(jobs))
+                stats = session.stats()
+        finally:
+            set_registry(previous)
+        assert stats["batch_placement_twins"] == twins
+        assert registry.counter(
+            "flow_batch_placement_twins_total"
+        ).value == twins
+
+    def test_report_row(self):
+        from repro.observability import render_batch
+
+        text = render_batch({
+            "flow_batch_placement_twins_total": {
+                "kind": "counter", "values": {"{}": 3}
+            },
+        })
+        assert "placement twins" in text
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Cross-module property tests (hypothesis): physical and algorithmic
 invariants that must hold for *any* valid input, not just the fixtures."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from repro.core.policy import sequence_log_prob_value, step_log_probs
 from repro.cts.tree import CtsParams, synthesize_clock_tree
 from repro.insights.schema import INSIGHT_DIMS
 from repro.netlist.generator import generate_netlist
+from repro.placement.batch import _StackIndex
+from repro.placement.congestion import rudy_map_fast
 from repro.placement.grid import PlacementGrid
-from repro.placement.placer import PlacerParams, place
+from repro.placement.placer import PlacerParams, _boxes_fast, place
 from repro.routing.groute import _diffuse
 from repro.timing.constraints import default_constraints
 from repro.timing.sta import run_sta
@@ -140,6 +144,127 @@ class TestGridInvariants:
         assert (density * grid.bin_area_um2).sum() == pytest.approx(
             areas.sum(), rel=1e-9
         )
+
+
+def _mixed(rng, shape):
+    """Mixed magnitudes and signs, with exact 0.0 and -0.0 sprinkled in."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12, 9, shape)
+    zeros = rng.random(shape) < 0.1
+    values[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return values
+
+
+def _coords(rng, shape):
+    """Points around a 100 x 80 die, off-die and signed zeros included."""
+    coords = rng.uniform(-10.0, 110.0, shape)
+    zeros = rng.random(shape) < 0.1
+    coords[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return coords
+
+
+@st.composite
+def _stacks(draw):
+    """A random pin list over a few nets, lanes of positions and values."""
+    lanes = draw(st.integers(1, 6))
+    cells = draw(st.integers(2, 30))
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pins = sum(sizes)
+    design = SimpleNamespace(
+        p_names=[f"c{i}" for i in range(cells)],
+        p_net_sizes=np.array(sizes, dtype=np.int64),
+        # Repeated cells, within and across nets, are allowed.
+        pin_cell=rng.integers(0, cells, pins),
+        pin_net=np.repeat(np.arange(len(sizes)), sizes),
+        p_area=10.0 ** rng.uniform(-3, 3, cells),
+    )
+    positions = _coords(rng, (lanes, cells, 2))
+    values = _mixed(rng, (lanes, pins, 2))
+    return design, positions, values, draw(st.integers(4, 9))
+
+
+@st.composite
+def _box_stacks(draw):
+    """Lanes of many net boxes over few bins, with mixed-magnitude lengths."""
+    lanes = draw(st.integers(1, 4))
+    nets = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = _coords(rng, (lanes, nets, 2))
+    hi = lo + rng.uniform(0.0, 60.0, (lanes, nets, 2))
+    lengths = _mixed(rng, (lanes, nets))
+    return lo, hi, lengths, draw(st.integers(4, 9))
+
+
+class TestStackedScatterInvariants:
+    """The stacked placer's slot-offset scatters reproduce the scalar
+    per-lane ``ufunc.at`` scatters byte for byte."""
+
+    @staticmethod
+    def _index(design, lanes, bins):
+        grid = PlacementGrid.for_die(
+            100.0, 80.0, [(10.0, 5.0, 30.0, 40.0)], target_bins=bins
+        )
+        return grid, _StackIndex(design, grid, lanes, 50.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_box_stacks())
+    def test_rudy_equals_scalar(self, case):
+        """The four corner scatters keep the scalar per-bin term order."""
+        lo, hi, lengths, bins = case
+        empty = np.zeros(0, dtype=np.int64)
+        design = SimpleNamespace(
+            p_names=[], p_net_sizes=empty, pin_cell=empty, pin_net=empty,
+            p_area=np.zeros(0),
+        )
+        grid, ix = self._index(design, len(lengths), bins)
+        rudy = ix.rudy(lo, hi, lengths)
+        for lane in range(len(lengths)):
+            boxes = np.column_stack([
+                lo[lane, :, 0], lo[lane, :, 1], hi[lane, :, 0], hi[lane, :, 1]
+            ])
+            want = rudy_map_fast(grid, boxes, lengths[lane], 50.0)
+            assert rudy[lane].tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_stacks())
+    def test_bincount_equals_per_lane_add_at(self, case):
+        design, positions, values, bins = case
+        lanes = len(values)
+        _, ix = self._index(design, lanes, bins)
+        nets = ix.to_nets(lanes, values.ravel())
+        cells = ix.to_cells(lanes, values.ravel())
+        for lane in range(lanes):
+            want = np.zeros((len(design.p_net_sizes), 2))
+            np.add.at(want, design.pin_net, values[lane])
+            assert nets[lane].tobytes() == want.tobytes()
+            want = np.zeros((len(design.p_names), 2))
+            np.add.at(want, design.pin_cell, values[lane])
+            assert cells[lane].tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_stacks())
+    def test_boxes_density_rudy_equal_scalar(self, case):
+        design, positions, _, bins = case
+        lanes = len(positions)
+        grid, ix = self._index(design, lanes, bins)
+        lo, hi, lengths = ix.boxes(lanes, ix.pin_xy(positions))
+        rudy = ix.rudy(lo, hi, lengths)
+        density = grid.density_of(ix.used_area(positions))
+        for lane in range(lanes):
+            boxes, want = _boxes_fast(
+                positions[lane], design.pin_cell, design.pin_net,
+                len(design.p_net_sizes), ix.steiner,
+            )
+            got = np.column_stack([
+                lo[lane, :, 0], lo[lane, :, 1], hi[lane, :, 0], hi[lane, :, 1]
+            ])
+            assert got.tobytes() == boxes.tobytes()
+            assert lengths[lane].tobytes() == want.tobytes()
+            assert rudy[lane].tobytes() == \
+                rudy_map_fast(grid, boxes, want, 50.0).tobytes()
+            xs, ys = positions[lane, :, 0], positions[lane, :, 1]
+            assert density[lane].tobytes() == \
+                grid.density_map(xs, ys, design.p_area).tobytes()
 
 
 class TestCtsInvariants:
