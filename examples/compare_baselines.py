@@ -29,6 +29,7 @@ from repro.core.qor import QoRIntention
 from repro.flow.runner import run_flow
 from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
+from repro.runtime import RuntimeConfig
 
 BUDGET = 10
 
@@ -39,7 +40,7 @@ def main() -> None:
         designs=["D6", "D10", "D11", "D14", "D16"],
         sets_per_design=60,
         seed=0,
-        processes=1,
+        runtime=RuntimeConfig(workers=1),
     )
     catalog = default_catalog()
     normalizer = dataset.normalizer_for(design)

@@ -19,6 +19,7 @@ from repro.core.qor import QoRIntention
 from repro.flow.runner import run_flow
 from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
+from repro.runtime import RuntimeConfig
 
 INTENTIONS = {
     "paper default (0.7 power / 0.3 TNS)": QoRIntention(),
@@ -42,7 +43,7 @@ def main() -> None:
         designs=["D3", "D6", "D13", "D17"],
         sets_per_design=60,
         seed=0,
-        processes=1,
+        runtime=RuntimeConfig(workers=1),
     )
     catalog = default_catalog()
 

@@ -15,6 +15,7 @@ import sys
 from repro import InsightAlign, build_offline_dataset
 from repro.core.alignment import AlignmentConfig
 from repro.core.online import OnlineConfig
+from repro.runtime import RuntimeConfig
 
 
 def main() -> None:
@@ -24,7 +25,7 @@ def main() -> None:
         designs=["D6", "D10", "D11", "D16"],
         sets_per_design=60,
         seed=0,
-        processes=1,
+        runtime=RuntimeConfig(workers=1),
     )
 
     print(f"== Offline alignment (holding out {design}) ==")

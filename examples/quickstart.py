@@ -19,6 +19,7 @@ from repro.core.alignment import AlignmentConfig
 from repro.flow.runner import run_flow
 from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
+from repro.runtime import RuntimeConfig
 
 HOLDOUT = "D4"
 
@@ -29,7 +30,7 @@ def main() -> None:
         designs=["D4", "D6", "D10", "D11"],
         sets_per_design=60,
         seed=0,
-        processes=1,
+        runtime=RuntimeConfig(workers=1),
     )
     print(f"   {len(dataset)} datapoints over {len(dataset.designs())} designs")
 

@@ -17,6 +17,7 @@ import numpy as np
 from repro import build_offline_dataset
 from repro.insights.similarity import nearest_designs, similarity_matrix
 from repro.netlist.profiles import get_profile
+from repro.runtime import RuntimeConfig
 
 DESIGNS = ["D1", "D2", "D6", "D8", "D10", "D11", "D14", "D16", "D17"]
 
@@ -24,7 +25,8 @@ DESIGNS = ["D1", "D2", "D6", "D8", "D10", "D11", "D14", "D16", "D17"]
 def main() -> None:
     print("== Building archive (probe runs for insight vectors) ==")
     dataset = build_offline_dataset(
-        designs=DESIGNS, sets_per_design=30, seed=0, processes=1,
+        designs=DESIGNS, sets_per_design=30, seed=0,
+        runtime=RuntimeConfig(workers=1),
     )
     insights = {d: dataset.insight_for(d) for d in dataset.designs()}
 

@@ -120,8 +120,7 @@ class ParallelFlowObjective:
     ``session`` shares an existing :class:`FlowSession` (and its pool and
     cache) across several objectives; otherwise one is built from
     ``runtime``.  The config's ``seed`` is overridden by ``seed`` so job
-    identity always follows the objective seed.  ``workers=`` /
-    ``qor_cache_path=`` are deprecated pre-session spellings.
+    identity always follows the objective seed.
     """
 
     def __init__(
@@ -131,40 +130,19 @@ class ParallelFlowObjective:
         session: Optional["FlowSession"] = None,
         runtime: Optional["RuntimeConfig"] = None,
         seed: int = 0,
-        workers: Optional[int] = None,
-        qor_cache_path: Optional[str] = None,
     ) -> None:
         from repro.recipes.catalog import default_catalog
-        from repro.runtime.session import (
-            FlowSession,
-            RuntimeConfig,
-            warn_legacy_runtime_kwargs,
-        )
+        from repro.runtime.session import FlowSession, RuntimeConfig
 
-        legacy = {}
-        if workers is not None:
-            legacy["workers"] = workers
-        if qor_cache_path is not None:
-            legacy["qor_cache_path"] = qor_cache_path
-        if legacy:
-            warn_legacy_runtime_kwargs("ParallelFlowObjective", **legacy)
-            if runtime is not None or session is not None:
-                raise ValueError(
-                    "pass session=/runtime= or the deprecated "
-                    "workers/qor_cache_path kwargs, not both"
-                )
         self.design = design
         self.score_fn = score_fn
         self.seed = seed
         self._catalog = default_catalog()
         self._owns_session = session is None
         if session is None:
-            if runtime is None:
-                runtime = RuntimeConfig(
-                    workers=workers if workers is not None else 1,
-                    qor_cache_path=qor_cache_path,
-                )
-            session = FlowSession(runtime.replace(seed=seed))
+            session = FlowSession(
+                (runtime or RuntimeConfig()).replace(seed=seed)
+            )
         self._session = session
 
     def __call__(self, recipe_set: Tuple[int, ...]) -> float:

@@ -163,8 +163,6 @@ def build_offline_dataset(
     cache_path: Optional[os.PathLike] = None,
     verbose: bool = False,
     runtime: Optional["RuntimeConfig"] = None,
-    processes: Optional[int] = None,
-    qor_cache_path: Optional[os.PathLike] = None,
 ) -> OfflineDataset:
     """Build (or load from cache) the offline archive.
 
@@ -186,37 +184,13 @@ def build_offline_dataset(
             toggle).  ``None`` keeps the historical default of one worker
             per CPU and no QoR cache; the config's ``seed`` is overridden
             by ``seed`` so job identity always follows the dataset seed.
-        processes: Deprecated — use ``runtime=RuntimeConfig(workers=...)``.
-        qor_cache_path: Deprecated — use
-            ``runtime=RuntimeConfig(qor_cache_path=...)``.
     """
     from repro.observability import get_tracer
     from repro.runtime.parallel import FlowJob
-    from repro.runtime.session import (
-        FlowSession,
-        RuntimeConfig,
-        warn_legacy_runtime_kwargs,
-    )
+    from repro.runtime.session import FlowSession, RuntimeConfig
 
-    legacy = {}
-    if processes is not None:
-        legacy["processes"] = processes
-    if qor_cache_path is not None:
-        legacy["qor_cache_path"] = qor_cache_path
-    if legacy:
-        warn_legacy_runtime_kwargs("build_offline_dataset", **legacy)
-        if runtime is not None:
-            raise TrainingError(
-                "pass runtime=RuntimeConfig(...) or the deprecated "
-                "processes/qor_cache_path kwargs, not both"
-            )
     if runtime is None:
-        runtime = RuntimeConfig(
-            workers=max(
-                1, processes if processes is not None else (os.cpu_count() or 1)
-            ),
-            qor_cache_path=qor_cache_path,
-        )
+        runtime = RuntimeConfig(workers=max(1, os.cpu_count() or 1))
     runtime = runtime.replace(seed=seed)
 
     if cache_path is not None and os.path.exists(cache_path):

@@ -45,11 +45,7 @@ from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
 from repro.runtime.executor import FlowExecutor
 from repro.runtime.parallel import FlowJob
-from repro.runtime.session import (
-    FlowSession,
-    RuntimeConfig,
-    warn_legacy_runtime_kwargs,
-)
+from repro.runtime.session import FlowSession, RuntimeConfig
 from repro.utils.rng import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -91,10 +87,6 @@ class OnlineConfig:
     # repro.distributed.DistributedOnlineFineTuner (constructing the
     # plain serial tuner with one is a configuration error).
     distributed: Optional["DistributedConfig"] = None  # noqa: F821
-    # Deprecated: pre-session spellings of the two most common runtime
-    # knobs.  Use ``runtime=RuntimeConfig(workers=..., qor_cache_path=...)``.
-    flow_workers: int = 1
-    qor_cache_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.distributed is not None:
@@ -107,29 +99,13 @@ class OnlineConfig:
                     f"distributed must be a DistributedConfig or None, "
                     f"got {type(self.distributed).__name__}"
                 )
-        legacy = {}
-        if self.flow_workers != 1:
-            legacy["flow_workers"] = self.flow_workers
-        if self.qor_cache_path is not None:
-            legacy["qor_cache_path"] = self.qor_cache_path
-        if legacy:
-            warn_legacy_runtime_kwargs("OnlineConfig", **legacy)
-            if self.runtime is not None:
-                raise TrainingError(
-                    "pass runtime=RuntimeConfig(...) or the deprecated "
-                    "flow_workers/qor_cache_path kwargs, not both"
-                )
 
     def resolved_runtime(self) -> RuntimeConfig:
-        """The loop's effective :class:`RuntimeConfig` (folding in any
-        deprecated ``flow_workers`` / ``qor_cache_path`` values)."""
+        """The loop's effective :class:`RuntimeConfig`: ``runtime``, or
+        the in-process default seeded with the loop's ``seed``."""
         if self.runtime is not None:
             return self.runtime
-        return RuntimeConfig(
-            workers=self.flow_workers,
-            qor_cache_path=self.qor_cache_path,
-            seed=self.seed,
-        )
+        return RuntimeConfig(seed=self.seed)
 
 
 @dataclass

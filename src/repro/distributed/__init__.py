@@ -35,7 +35,6 @@ __all__ = [
     "DistributedConfig",
     "DistributedOnlineFineTuner",
     "fine_tuner_for",
-    "ActorPool",
     "ActorSpec",
     "propose_one",
     "ExperienceQueue",
@@ -45,7 +44,6 @@ __all__ = [
 _LAZY = {
     "DistributedOnlineFineTuner": "repro.distributed.learner",
     "fine_tuner_for": "repro.distributed.learner",
-    "ActorPool": "repro.distributed.actor",
     "ActorSpec": "repro.distributed.actor",
     "propose_one": "repro.distributed.actor",
     "ExperienceQueue": "repro.distributed.experience",

@@ -1,41 +1,32 @@
-"""Actor processes and the elastic actor pool.
+"""Actor processes of the distributed online loop.
 
 One **actor** owns a :class:`~repro.runtime.session.FlowSession` and
 serves tasks from a private command queue: ``evaluate`` a recipe set the
 learner proposed (sync mode), or ``propose`` one itself against its local
 policy replica and then evaluate it (async mode).  Every completion is
 one synchronous send of an :class:`~repro.distributed.experience.
-ExperienceRecord` over a result pipe private to that actor — the PR 6
-supervisor IPC discipline, so an actor killed at any instant can neither
-lose a record it already sent nor wedge its siblings.
+ExperienceRecord` over a result pipe private to that actor.  Actors are
+members of a :class:`~repro.runtime.supervisor.SupervisedPool`, which
+the learner drives directly: the pool owns the channels, death
+detection, respawn budget, chaos draw and shutdown.
 
 Determinism is carried by the task, not the process: per-job randomness
 keys on the learner-assigned global task index
 (:meth:`FlowSession.evaluate_at`), and async proposal sampling keys on
 ``(base seed, task id, dispatch)`` — whichever actor serves a task, alive
 or respawned, produces the same record.
-
-:class:`ActorPool` is the learner-side membership manager: per-actor
-``SimpleQueue`` + ``Pipe`` pairs, death detection by liveness + pipe EOF,
-respawn under ``max_actor_respawns`` with lost-task recovery, and weight
-broadcast.  Actor death is routine, not exceptional.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
-
-import multiprocessing
-import multiprocessing.connection
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.observability import get_registry
 from repro.observability.trace import Tracer, set_tracer
-from repro.runtime.parallel import _RemoteError
 from repro.runtime.session import FlowJob, FlowSession, RuntimeConfig
+from repro.runtime.supervisor import Chaos, RemoteError
 from repro.utils.rng import derive_rng
 
 from repro.distributed.experience import ExperienceRecord
@@ -95,8 +86,8 @@ def propose_one(model, insight, seen, base_seed: int, task_id: int,
     return bits
 
 
-def _actor_main(actor_id: int, spawn: int, spec: ActorSpec,
-                task_queue, result_conn) -> None:
+def _actor_main(actor_id: int, spawn: int, task_queue, result_conn,
+                spec: ActorSpec) -> None:
     """Main of one actor process.
 
     Serves commands until the ``None`` sentinel:
@@ -112,12 +103,13 @@ def _actor_main(actor_id: int, spawn: int, spec: ActorSpec,
     Runs trace-quiet (several processes appending to one JSONL trace
     would interleave); the learner emits the ``online.actor`` spans.
     Chaos rehearsal: with ``kill_rate`` set, each work command first
-    draws from a ``(kill_seed, actor_id, spawn)`` stream and may
-    ``os._exit`` — the hard, mid-task death the membership layer exists
-    to absorb.
+    draws from a ``(kill_seed, "actor-kill", actor_id, spawn)`` stream and
+    may ``os._exit`` — the hard, mid-task death the supervised pool
+    exists to absorb.
     """
     set_tracer(Tracer(exporter=None, enabled=False))
-    kill_rng = derive_rng(spec.kill_seed, "actor-kill", actor_id, spawn)
+    chaos = Chaos(spec.kill_rate, spec.kill_seed, "actor-kill", actor_id,
+                  spawn, KILL_EXIT_CODE)
     session = FlowSession(spec.runtime, flow_fn=spec.flow_fn)
     model = None
     insight: Optional[np.ndarray] = None
@@ -144,9 +136,7 @@ def _actor_main(actor_id: int, spawn: int, spec: ActorSpec,
                     insight = np.asarray(new_insight)
                 seen = set(seen_list)
                 continue
-            if spec.kill_rate > 0 and \
-                    float(kill_rng.random()) < spec.kill_rate:
-                os._exit(KILL_EXIT_CODE)
+            chaos.strike()
             try:
                 if kind == "evaluate":
                     _, task_id, index, bits, params, dispatch = command
@@ -184,235 +174,8 @@ def _actor_main(actor_id: int, spawn: int, spec: ActorSpec,
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as err:  # noqa: BLE001 - shipped to learner
-                result_conn.send(_RemoteError(err))
+                result_conn.send(RemoteError(err))
                 continue
             result_conn.send(record)
     finally:
         session.close()
-
-
-class _ActorMember:
-    """One live actor: process + private channels + its in-flight task."""
-
-    __slots__ = ("id", "spawn", "process", "task_queue", "result_recv",
-                 "inflight")
-
-    def __init__(self, actor_id: int, spawn: int, process, task_queue,
-                 result_recv) -> None:
-        self.id = actor_id
-        self.spawn = spawn
-        self.process = process
-        self.task_queue = task_queue
-        self.result_recv = result_recv
-        # The full command currently running on this actor, or None.
-        self.inflight: Optional[tuple] = None
-
-
-class ActorPool:
-    """Elastic membership over N actor processes.
-
-    The contract with the learner:
-
-    - :meth:`collect` returns every record actors have finished, in
-      arrival order; a dead actor's pipe is drained before its EOF, so a
-      record sent before death is never lost.
-    - :meth:`reap` detects dead members, returns their lost in-flight
-      commands (for the learner to re-issue with ``dispatch + 1``), and
-      respawns replacements while ``max_actor_respawns`` allows; past the
-      budget :attr:`degraded` latches and membership stops healing.
-    - :meth:`broadcast` fans a command to every live member; each
-      member's ``SimpleQueue`` is FIFO, so a freshly-spawned actor always
-      installs the sync state pushed by ``on_spawn`` before it serves any
-      task.
-    """
-
-    def __init__(
-        self,
-        spec: ActorSpec,
-        actors: int,
-        max_respawns: int,
-        start_method: Optional[str] = None,
-        on_spawn: Optional[Callable[["_ActorMember"], None]] = None,
-    ) -> None:
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self._spec = spec
-        self.actors = int(actors)
-        self.max_respawns = int(max_respawns)
-        self._on_spawn = on_spawn
-        self._members: dict[int, _ActorMember] = {}
-        self._next_id = 0
-        self._spawns = 0
-        self.respawns = 0
-        self.degraded = False
-        for _ in range(self.actors):
-            self._spawn()
-        self._update_live_gauge()
-
-    # -- membership ----------------------------------------------------
-    def _spawn(self) -> _ActorMember:
-        actor_id = self._next_id
-        self._next_id += 1
-        spawn = self._spawns
-        self._spawns += 1
-        task_queue = self._ctx.SimpleQueue()
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_actor_main,
-            args=(actor_id, spawn, self._spec, task_queue, result_send),
-            daemon=True,
-        )
-        process.start()
-        # The actor now holds the only writer: death surfaces as EOF.
-        result_send.close()
-        member = _ActorMember(actor_id, spawn, process, task_queue,
-                              result_recv)
-        self._members[actor_id] = member
-        if self._on_spawn is not None:
-            self._on_spawn(member)
-        return member
-
-    def _discard(self, member: _ActorMember, kill: bool = False) -> None:
-        self._members.pop(member.id, None)
-        if kill and member.process.is_alive():
-            member.process.kill()
-        member.process.join()
-        try:
-            member.result_recv.close()
-        except OSError:
-            pass
-
-    def live_count(self) -> int:
-        return sum(
-            1 for m in self._members.values() if m.process.is_alive()
-        )
-
-    def _update_live_gauge(self) -> None:
-        get_registry().gauge(
-            "online_actors_live", "live online-loop actor processes"
-        ).set(self.live_count())
-
-    def idle(self) -> List[_ActorMember]:
-        """Live members with no task in flight, in stable id order."""
-        return [
-            member for _, member in sorted(self._members.items())
-            if member.inflight is None and member.process.is_alive()
-        ]
-
-    # -- traffic -------------------------------------------------------
-    def dispatch(self, member: _ActorMember, command: tuple) -> None:
-        member.task_queue.put(command)
-        member.inflight = command
-
-    def broadcast(self, command: tuple) -> int:
-        """Send ``command`` to every live member; returns the fan-out."""
-        count = 0
-        for member in self._members.values():
-            if member.process.is_alive():
-                try:
-                    member.task_queue.put(command)
-                    count += 1
-                except (OSError, ValueError):
-                    pass
-        return count
-
-    def collect(self, timeout: float) -> List[ExperienceRecord]:
-        """Every record currently available (one brief blocking wait).
-
-        Re-raises non-flow exceptions an actor shipped back.  Clears the
-        producing member's in-flight slot when the record answers it.
-        """
-        out: List[ExperienceRecord] = []
-        by_conn = {
-            member.result_recv: member for member in self._members.values()
-        }
-        if not by_conn:
-            return out
-        ready = multiprocessing.connection.wait(
-            list(by_conn), timeout=timeout
-        )
-        for conn in ready:
-            member = by_conn[conn]
-            while True:
-                try:
-                    if not conn.poll(0):
-                        break
-                    item = conn.recv()
-                except (EOFError, OSError):
-                    break  # dead actor; reap() handles the membership
-                if isinstance(item, _RemoteError):
-                    raise item.error
-                if member.inflight is not None \
-                        and member.inflight[1] == item.task_id:
-                    member.inflight = None
-                out.append(item)
-        return out
-
-    def reap(self) -> List[tuple]:
-        """Detect dead members; heal membership; return lost commands.
-
-        Each death consumes one respawn from the budget.  Past the
-        budget, :attr:`degraded` latches (the learner decides whether to
-        finish in-process or raise) — lost commands are returned either
-        way so no task silently disappears.
-        """
-        lost: List[tuple] = []
-        registry = get_registry()
-        for member in list(self._members.values()):
-            if member.process.is_alive():
-                continue
-            if member.inflight is not None:
-                lost.append(member.inflight)
-            self._discard(member)
-            if self.respawns < self.max_respawns:
-                self.respawns += 1
-                registry.counter(
-                    "online_actor_restarts_total",
-                    "actor processes respawned after death",
-                ).inc()
-                self._spawn()
-            elif not self.degraded:
-                self.degraded = True
-                registry.counter(
-                    "online_pool_degraded_total",
-                    "actor pools that exhausted their respawn budget",
-                ).inc()
-        if lost or self.degraded:
-            self._update_live_gauge()
-        return lost
-
-    # -- shutdown ------------------------------------------------------
-    def shutdown(self, timeout_s: float = 5.0) -> None:
-        """Sentinel + bounded join, then kill stragglers (idempotent)."""
-        import time
-
-        for member in self._members.values():
-            if member.process.is_alive():
-                try:
-                    member.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + timeout_s
-        for member in self._members.values():
-            member.process.join(max(0.0, deadline - time.monotonic()))
-        for member in self._members.values():
-            if member.process.is_alive():
-                member.process.kill()
-                member.process.join()
-            try:
-                member.result_recv.close()
-            except OSError:
-                pass
-        self._members.clear()
-        self._update_live_gauge()
-
-    def stats(self) -> dict:
-        return {
-            "actors": self.actors,
-            "live": self.live_count(),
-            "spawned": self._spawns,
-            "restarts": self.respawns,
-            "degraded": self.degraded,
-        }

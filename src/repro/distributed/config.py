@@ -14,7 +14,6 @@ way :class:`~repro.runtime.session.RuntimeConfig` composes as ``runtime=``
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,9 +58,6 @@ class DistributedConfig:
             task, drawn from a stream seeded by
             ``(kill_seed, actor id, spawn count)``.
         kill_seed: Seed of the chaos-kill stream.
-        start_method: Multiprocessing start method override (``None``
-            prefers ``fork`` so actors inherit the warm netlist cache).
-        poll_s: Learner poll interval while waiting on actor pipes.
     """
 
     actors: int = 1
@@ -72,8 +68,6 @@ class DistributedConfig:
     degrade_to_serial: bool = True
     kill_rate: float = 0.0
     kill_seed: int = 0
-    start_method: Optional[str] = None
-    poll_s: float = 0.02
 
     def __post_init__(self) -> None:
         if not isinstance(self.actors, int) or isinstance(self.actors, bool) \
@@ -124,18 +118,6 @@ class DistributedConfig:
                 or isinstance(self.kill_seed, bool):
             raise RuntimeConfigError(
                 f"kill_seed must be an int, got {self.kill_seed!r}"
-            )
-        if self.start_method is not None and (
-            self.start_method not in multiprocessing.get_all_start_methods()
-        ):
-            raise RuntimeConfigError(
-                f"unknown start_method {self.start_method!r}; available: "
-                f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
-        if not isinstance(self.poll_s, (int, float)) \
-                or isinstance(self.poll_s, bool) or not self.poll_s > 0:
-            raise RuntimeConfigError(
-                f"poll_s must be positive, got {self.poll_s!r}"
             )
 
     def replace(self, **overrides) -> "DistributedConfig":

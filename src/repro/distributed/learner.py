@@ -25,14 +25,15 @@ and broadcasts fresh weights.  Records older than ``max_policy_lag``
 versions are dropped (counted) and their proposal slot re-issued, so
 model updates never consume arbitrarily stale experience.
 
-Elastic membership in both modes: actor death is absorbed by respawn
-under ``max_actor_respawns`` — the lost task re-dispatched with
-``dispatch + 1`` — and past the budget the learner degrades to supervised
-in-process execution (or raises
-:class:`~repro.errors.WorkerPoolError` when ``degrade_to_serial`` is
-off).  No experience record is ever lost to a death: a record sent
-before the kill is drained from the dead actor's pipe, and anything
-in flight is re-issued.
+Elastic membership in both modes: the actors are members of a
+:class:`~repro.runtime.supervisor.SupervisedPool`, which the learner
+drives directly.  Actor death is absorbed by respawn under
+``max_actor_respawns`` — the lost task re-dispatched with ``dispatch +
+1`` — and past the budget the learner degrades to supervised in-process
+execution (or raises :class:`~repro.errors.WorkerPoolError` when
+``degrade_to_serial`` is off).  No experience record is ever lost to a
+death: a record sent before the kill is drained from the dead actor's
+pipe, and anything in flight is re-issued.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ from repro.nn.optim import Adam
 from repro.observability import get_registry, get_tracer
 from repro.runtime.checkpoint import intern_keys
 from repro.runtime.session import FlowJob
+from repro.runtime.supervisor import Death, SupervisedPool
 from repro.utils.rng import derive_rng
 
-from repro.distributed.actor import ActorPool, ActorSpec, propose_one
+from repro.distributed.actor import ActorSpec, _actor_main, propose_one
 from repro.distributed.experience import ExperienceQueue, ExperienceRecord
 
 #: Task-id stride between sync iterations (keeps ids globally unique
@@ -81,7 +83,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
             )
         super().__init__(config, flow_fn=flow_fn)
         self.dist = config.distributed
-        self._pool: Optional[ActorPool] = None
+        self._pool: Optional[SupervisedPool] = None
         self._spec: Optional[ActorSpec] = None
         self._queue = ExperienceQueue()
         self._sync_state: Optional[tuple] = None
@@ -118,8 +120,8 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
 
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
-            self._pool_spawned = self._pool.stats()["spawned"]
-            self._pool_restarts = self._pool.stats()["restarts"]
+            self._pool_spawned = self._pool.spawns
+            self._pool_restarts = self._pool.respawns
             self._pool.shutdown()
             self._pool = None
 
@@ -173,15 +175,18 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
             kill_seed=self.dist.kill_seed,
         )
 
-    def _ensure_pool(self) -> Optional[ActorPool]:
+    def _ensure_pool(self) -> Optional[SupervisedPool]:
         if self._local_only:
             return None
         if self._pool is None:
-            self._pool = ActorPool(
-                self._spec,
-                actors=self.dist.actors,
+            spec = self._spec
+            self._pool = SupervisedPool(
+                _actor_main,
+                lambda: (spec,),
+                size=self.dist.actors,
                 max_respawns=self.dist.max_actor_respawns,
-                start_method=self.dist.start_method,
+                gauge="online_actors_live",
+                gauge_help="live online-loop actor processes",
                 on_spawn=self._push_sync_state,
             )
         return self._pool
@@ -191,10 +196,29 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
         its FIFO command queue guarantees the sync lands before any
         task dispatched afterwards."""
         if self._sync_state is not None:
-            member.task_queue.put(("sync",) + self._sync_state)
+            member.send(("sync",) + self._sync_state)
 
-    def _degrade(self, pool: ActorPool, unfinished: int) -> None:
+    @staticmethod
+    def _lost_commands(deaths: List[Death]) -> List[tuple]:
+        """Count each respawn; return the dead actors' in-flight
+        commands, which the caller re-issues."""
+        lost = []
+        for death in deaths:
+            if death.replacement is not None:
+                get_registry().counter(
+                    "online_actor_restarts_total",
+                    "actor processes respawned after death",
+                ).inc()
+            if death.member.inflight is not None:
+                lost.append(death.member.inflight)
+        return lost
+
+    def _degrade(self, unfinished: int) -> None:
         """Respawn budget is dry: fail fast or fall back in-process."""
+        get_registry().counter(
+            "online_pool_degraded_total",
+            "actor pools that exhausted their respawn budget",
+        ).inc()
         if not self.dist.degrade_to_serial:
             self._shutdown_pool()
             self._local_only = True
@@ -210,7 +234,6 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
     # Sync mode: the inherited serial loop, evaluation fanned out.
     # ------------------------------------------------------------------
     def _evaluate(self, design, params_list, seed, iteration=0):
-        dist = self.dist
         k = len(params_list)
         reports: List[Optional[object]] = [None] * k
         backlog: Deque[Tuple[int, int]] = deque(
@@ -246,7 +269,8 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                     "evaluate", task_id, index, None,
                     params_list[index], dispatch,
                 ))
-            for record in pool.collect(dist.poll_s):
+            answers, deaths = pool.poll()
+            for _, record in answers:
                 self._queue.push(record)
             while self._queue:
                 record = self._queue.pop()
@@ -269,7 +293,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                     reports[index] = report
                     remaining -= 1
                     self._records_total += 1
-            for command in pool.reap():
+            for command in self._lost_commands(deaths):
                 info = pending.pop(command[1], None)
                 if info is None:
                     continue
@@ -287,7 +311,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                 for index, dispatch in pending.values():
                     backlog.appendleft((index, dispatch))
                 pending.clear()
-                self._degrade(pool, remaining)
+                self._degrade(remaining)
                 pool = None
         return reports
 
@@ -372,7 +396,8 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                         pool.dispatch(
                             member, ("propose", task_id, dispatch)
                         )
-                    for record in pool.collect(dist.poll_s):
+                    answers, deaths = pool.poll()
+                    for _, record in answers:
                         if record.task_id not in pending:
                             continue
                         del pending[record.task_id]
@@ -384,7 +409,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                             version=record.policy_version,
                         ):
                             self._queue.push(record)
-                    for command in pool.reap():
+                    for command in self._lost_commands(deaths):
                         dispatch = pending.pop(command[1], None)
                         if dispatch is None:
                             continue
@@ -398,7 +423,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                         for task_id, dispatch in pending.items():
                             backlog.appendleft((task_id, dispatch))
                         pending.clear()
-                        self._degrade(pool, needed)
+                        self._degrade(needed)
                         pool = None
                 if pool is None:
                     # In-process fallback: same task keying, the

@@ -81,8 +81,6 @@ def sweep(
     base: FlowParameters = FlowParameters(),
     seed: int = 0,
     runtime: Optional["RuntimeConfig"] = None,
-    workers: Optional[int] = None,
-    qor_cache_path: Optional[str] = None,
 ) -> SweepResult:
     """Full-factorial sweep of ``axes`` (knob -> values) on one design.
 
@@ -91,35 +89,13 @@ def sweep(
     ``runtime`` (workers, QoR cache, retry policy, trace toggle); the
     result is identical at any worker count.  The config's ``seed`` is
     overridden by ``seed`` so grid-point identity always follows the
-    sweep seed.  ``workers=`` / ``qor_cache_path=`` are the deprecated
-    pre-session spellings.
+    sweep seed.
     """
     from repro.observability import get_tracer
     from repro.runtime.parallel import FlowJob
-    from repro.runtime.session import (
-        FlowSession,
-        RuntimeConfig,
-        warn_legacy_runtime_kwargs,
-    )
+    from repro.runtime.session import FlowSession, RuntimeConfig
 
-    legacy = {}
-    if workers is not None:
-        legacy["workers"] = workers
-    if qor_cache_path is not None:
-        legacy["qor_cache_path"] = qor_cache_path
-    if legacy:
-        warn_legacy_runtime_kwargs("sweep", **legacy)
-        if runtime is not None:
-            raise FlowError(
-                "pass runtime=RuntimeConfig(...) or the deprecated "
-                "workers/qor_cache_path kwargs, not both"
-            )
-    if runtime is None:
-        runtime = RuntimeConfig(
-            workers=workers if workers is not None else 1,
-            qor_cache_path=qor_cache_path,
-        )
-    runtime = runtime.replace(seed=seed)
+    runtime = (runtime or RuntimeConfig()).replace(seed=seed)
 
     if not axes:
         raise FlowError("sweep needs at least one axis")

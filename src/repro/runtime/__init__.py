@@ -19,6 +19,10 @@ flaky and hours-long) P&R tool invocation:
   batches out over a process pool (deterministic at any worker count) and
   :class:`QoRCache` persists successful results on disk so repeated
   evaluations are free.
+- :mod:`repro.runtime.supervisor` — ``SupervisedPool``, the one
+  process protocol (private command queue and result pipe per member,
+  respawn budget, seeded kill chaos, bounded shutdown) shared by flow
+  workers, online actors and serving replicas.
 - :mod:`repro.runtime.session` — :class:`FlowSession` composes all of the
   above (policy, pool, cache, faults, tracing) behind one batch-first
   ``evaluate(jobs)`` API configured by a typed, validated
@@ -64,7 +68,6 @@ from repro.runtime.session import (
     FlowOutcome,
     FlowSession,
     RuntimeConfig,
-    warn_legacy_runtime_kwargs,
 )
 
 __all__ = [
@@ -97,5 +100,4 @@ __all__ = [
     "load_checkpoint",
     "qor_cache_key",
     "save_checkpoint",
-    "warn_legacy_runtime_kwargs",
 ]

@@ -27,19 +27,21 @@ sequential path has:
   to cache misses.
 - **Process-level fault tolerance.**  Workers are not pooled through a bare
   ``multiprocessing.Pool`` (whose ``imap_unordered`` deadlocks forever if a
-  worker dies holding a job) but through a :class:`_WorkerSupervisor` that
-  tracks the one in-flight job per worker, detects worker death (liveness +
-  exit codes), respawns workers with the same warm-cache initialization,
-  and re-dispatches the lost job under a bounded budget.  A job that kills
-  its worker more than ``poison_retries`` times is quarantined as a typed
+  worker dies holding a job) but as members of a
+  :class:`~repro.runtime.supervisor.SupervisedPool`, which detects worker
+  death, respawns workers under the ``max_respawns`` budget and hands the
+  lost job back.  This module adds the flow policy: one in-flight job per
+  worker tagged with the batch epoch, stacked ``_JobGroup`` dispatch, and
+  re-dispatch of a lost job.  A job that kills its worker more than
+  ``poison_retries`` times is quarantined as a typed
   :class:`~repro.errors.WorkerCrash` report; a job that wedges past
   ``watchdog_s`` wall-clock seconds gets its worker killed and surfaces as
-  a typed :class:`~repro.errors.FlowTimeout`; and when the respawn budget
-  (``max_respawns``) runs dry the batch degrades gracefully to supervised
-  in-process serial execution (or raises
-  :class:`~repro.errors.WorkerPoolError` when ``degrade_to_serial`` is
-  off).  Re-dispatch seeds are keyed by ``(job index, dispatch count)``, so
-  a re-dispatched job reproduces the serial run bit-for-bit.
+  a typed :class:`~repro.errors.FlowTimeout`; and once no worker is left
+  the batch degrades gracefully to supervised in-process serial execution
+  (or raises :class:`~repro.errors.WorkerPoolError` when
+  ``degrade_to_serial`` is off).  Re-dispatch seeds are keyed by ``(job
+  index, dispatch count)``, so a re-dispatched job reproduces the serial
+  run bit-for-bit.
 
 ``workers=1`` (the default everywhere) runs the same per-job machinery
 in-process: no pool, no pickling constraints, byte-for-byte the results the
@@ -54,8 +56,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import time
@@ -95,6 +95,12 @@ from repro.runtime.faults import (
     FaultKind,
     SimulatedWorkerDeath,
     mark_pool_worker,
+)
+from repro.runtime.supervisor import (
+    SHUTDOWN_S,
+    START_METHOD,
+    RemoteError,
+    SupervisedPool,
 )
 
 # Version stamp baked into every cache key: bump when FlowResult layout or
@@ -355,37 +361,18 @@ def _worker_init(settings: _RunnerSettings,
                     pass
 
 
-class _RemoteError:
-    """Envelope for a non-flow exception raised inside a worker.
-
-    Configuration bugs (:class:`~repro.errors.ReproError` outside the flow
-    taxonomy) must propagate to the caller, not be absorbed into reports or
-    mistaken for worker death — so the worker catches them, ships them back
-    over the result queue, and the supervisor re-raises in the parent.
-    """
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-
-def _supervised_worker(task_queue, result_conn,
+def _supervised_worker(worker_id: int, spawn: int, task_queue, result_conn,
                        settings: _RunnerSettings,
                        warm: Sequence[Tuple[str, int]]) -> None:
     """Main of one supervised pool worker.
 
     Marks the process as a pool worker (so ``WORKER_KILL`` faults die for
-    real), performs the same warm-cache initialization as the original
-    pool initializer, then serves ``(epoch, index, job, dispatch)`` tasks
-    until the ``None`` shutdown sentinel arrives.  Every completion —
-    report or shipped exception — is one synchronous ``result_conn.send``
-    over a pipe *private to this worker*: no feeder thread and no lock
-    shared with other processes, so a worker SIGKILL'd (or ``os._exit``-ed
-    by a ``WORKER_KILL`` fault) at any instant can neither lose a result
-    it already sent nor wedge its siblings' result channels.  A worker
-    that dies mid-job simply never answers — exactly the signal the
-    supervisor watches for.
+    real), performs the warm-cache initialization, then serves ``(epoch,
+    index, job, dispatch)`` tasks until the ``None`` shutdown sentinel
+    arrives.  Each task is answered with one ``(epoch, index, payload)``
+    send, or a :class:`~repro.runtime.supervisor.RemoteError` for a
+    non-flow exception.  A worker that dies mid-job simply never answers
+    — exactly the signal the supervised pool watches for.
     """
     mark_pool_worker()
     _worker_init(settings, warm)
@@ -402,7 +389,8 @@ def _supervised_worker(task_queue, result_conn,
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as err:  # noqa: BLE001 - shipped to the parent
-            payload = _RemoteError(err)
+            result_conn.send(RemoteError(err))
+            continue
         result_conn.send((epoch, index, payload))
 
 
@@ -440,328 +428,6 @@ def _watchdog_report(job: FlowJob, watchdog_s: float) -> FlowRunReport:
         design=str(job.design),
         attempts=[FlowAttempt(index=0, error=error, elapsed_s=watchdog_s)],
     )
-
-
-class _PoolMember:
-    """One supervised worker: process + private task/result channels +
-    the in-flight job."""
-
-    __slots__ = ("id", "process", "task_queue", "result_recv",
-                 "inflight", "dispatched_at")
-
-    def __init__(self, worker_id: int, process, task_queue,
-                 result_recv) -> None:
-        self.id = worker_id
-        self.process = process
-        self.task_queue = task_queue
-        self.result_recv = result_recv
-        # (index, job, dispatch) currently running on this worker, or None.
-        self.inflight: Optional[Tuple[int, FlowJob, int]] = None
-        self.dispatched_at = 0.0
-
-
-class _WorkerSupervisor:
-    """Keeps ``workers`` processes alive and a batch flowing through them.
-
-    The contract with :meth:`ParallelFlowExecutor.run_batch`:
-
-    - :meth:`run` yields ``(index, report)`` for *every* task it was given,
-      exactly once, regardless of worker deaths, stalls, or degradation —
-      the batch can never hang on a lost job.
-    - Non-flow exceptions shipped back from a worker are re-raised.
-    - Worker death with a job in flight → the job is re-dispatched with an
-      incremented dispatch count, up to ``poison_retries`` times, then
-      quarantined as a :class:`~repro.errors.WorkerCrash` report.
-    - A job in flight longer than ``watchdog_s`` → its worker is killed and
-      the job surfaces as a :class:`~repro.errors.FlowTimeout` report.
-    - Each death/kill consumes one respawn from ``max_respawns``; when the
-      budget is gone the pool shuts down and the rest of the batch runs
-      through ``run_inprocess`` (the executor's serial supervision), or
-      :class:`~repro.errors.WorkerPoolError` is raised when
-      ``degrade_to_serial`` is off.
-    """
-
-    POLL_S = 0.02
-
-    def __init__(
-        self,
-        context,
-        workers: int,
-        settings: _RunnerSettings,
-        warm: Sequence[Tuple[str, int]],
-        max_respawns: int,
-        poison_retries: int,
-        watchdog_s: Optional[float],
-        degrade_to_serial: bool,
-        run_inprocess: Callable[[int, FlowJob, int], FlowRunReport],
-        on_restart: Callable[[int, Optional[int], int], None],
-        on_redispatch: Callable[[], None],
-        on_poison: Callable[[], None],
-        on_degrade: Callable[[], None],
-        on_batch_stats: Callable[[Dict[str, int]], None],
-    ) -> None:
-        self._ctx = context
-        self._settings = settings
-        self._warm = warm
-        self.workers = int(workers)
-        self.max_respawns = int(max_respawns)
-        self.poison_retries = int(poison_retries)
-        self.watchdog_s = watchdog_s
-        self.degrade_to_serial = bool(degrade_to_serial)
-        self._run_inprocess = run_inprocess
-        self._on_restart = on_restart
-        self._on_redispatch = on_redispatch
-        self._on_poison = on_poison
-        self._on_degrade = on_degrade
-        self._on_batch_stats = on_batch_stats
-        self._epoch = 0
-        self._next_id = 0
-        self.respawns = 0
-        self.degraded = False
-        self._members: Dict[int, _PoolMember] = {}
-        for _ in range(self.workers):
-            self._spawn()
-        self._update_live_gauge()
-
-    # -- membership ----------------------------------------------------
-    def _spawn(self) -> _PoolMember:
-        worker_id = self._next_id
-        self._next_id += 1
-        task_queue = self._ctx.SimpleQueue()
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_supervised_worker,
-            args=(task_queue, result_send, self._settings, self._warm),
-            daemon=True,
-        )
-        process.start()
-        # Drop the parent's copy of the send end: the worker now holds the
-        # only writer, so worker death surfaces as EOF on the recv end.
-        result_send.close()
-        member = _PoolMember(worker_id, process, task_queue, result_recv)
-        self._members[worker_id] = member
-        return member
-
-    def _discard(self, member: _PoolMember, kill: bool = False) -> None:
-        self._members.pop(member.id, None)
-        if kill and member.process.is_alive():
-            member.process.kill()
-        member.process.join()
-        try:
-            member.result_recv.close()
-        except OSError:
-            pass
-
-    def live_count(self) -> int:
-        return sum(
-            1 for m in self._members.values() if m.process.is_alive()
-        )
-
-    def _update_live_gauge(self) -> None:
-        get_registry().gauge("flow_workers_live").set(self.live_count())
-
-    def _respawn_or_degrade(self) -> bool:
-        """Replace one dead/killed worker; False when the budget is dry."""
-        if self.respawns >= self.max_respawns:
-            return False
-        self.respawns += 1
-        self._spawn()
-        self._update_live_gauge()
-        return True
-
-    # -- the supervision loop ------------------------------------------
-    def run(
-        self, tasks: Sequence[Tuple[int, FlowJob]]
-    ) -> Iterator[Tuple[int, FlowRunReport]]:
-        """Drive one batch; yields ``(index, report)`` as jobs finish."""
-        self._epoch += 1
-        epoch = self._epoch
-        backlog: Deque[Tuple[int, FlowJob, int]] = deque(
-            (index, job, 0) for index, job in tasks
-        )
-        kills: Dict[int, int] = {}
-        done: Set[int] = set()
-        # A _JobGroup task is one dispatch unit but several logical jobs.
-        total = sum(
-            len(job) if isinstance(job, _JobGroup) else 1
-            for _, job in tasks
-        )
-        finished = 0
-        while finished < total:
-            if self.degraded or not self._members:
-                for item in self._degrade(backlog, kills):
-                    done.add(item[0])
-                    finished += 1
-                    yield item
-                continue
-            # Dispatch: every idle worker gets the next backlog task.
-            for member in self._members.values():
-                if member.inflight is None and backlog:
-                    index, job, dispatch = backlog.popleft()
-                    member.task_queue.put((epoch, index, job, dispatch))
-                    member.inflight = (index, job, dispatch)
-                    member.dispatched_at = time.monotonic()
-            # Collect: block briefly, then drain whatever else arrived.
-            for worker_id, index, payload in self._collect(epoch, done):
-                member = self._members.get(worker_id)
-                if member is not None and member.inflight is not None \
-                        and member.inflight[0] == index:
-                    member.inflight = None
-                if isinstance(payload, _RemoteError):
-                    raise payload.error
-                if isinstance(payload, _GroupResult):
-                    self._on_batch_stats(payload.stats)
-                    done.add(index)
-                    for job_index, report in payload.reports:
-                        done.add(job_index)
-                        finished += 1
-                        yield job_index, report
-                else:
-                    done.add(index)
-                    finished += 1
-                    yield index, payload
-            # Watchdog: kill workers stuck past the wall-clock budget.
-            if self.watchdog_s is not None:
-                now = time.monotonic()
-                for member in list(self._members.values()):
-                    if member.inflight is None:
-                        continue
-                    if now - member.dispatched_at <= self.watchdog_s:
-                        continue
-                    index, job, _ = member.inflight
-                    self._discard(member, kill=True)
-                    if self._respawn_or_degrade():
-                        self._on_restart(member.id,
-                                         member.process.exitcode, index)
-                    self._update_live_gauge()
-                    if index not in done:
-                        done.add(index)
-                        for job_index, member_job in _task_members(index, job):
-                            done.add(job_index)
-                            finished += 1
-                            yield job_index, _watchdog_report(
-                                member_job, self.watchdog_s
-                            )
-            # Liveness: a dead worker's in-flight job was lost with it.
-            for member in list(self._members.values()):
-                if member.process.is_alive():
-                    continue
-                index, job, dispatch = (
-                    member.inflight if member.inflight is not None
-                    else (None, None, 0)
-                )
-                self._discard(member)
-                if self._respawn_or_degrade():
-                    self._on_restart(member.id, member.process.exitcode,
-                                     index)
-                self._update_live_gauge()
-                if index is None or index in done:
-                    continue
-                kills[index] = kills.get(index, 0) + 1
-                if kills[index] > self.poison_retries:
-                    self._on_poison()
-                    done.add(index)
-                    for job_index, member_job in _task_members(index, job):
-                        done.add(job_index)
-                        finished += 1
-                        yield job_index, _quarantine_report(
-                            member_job, kills[index]
-                        )
-                else:
-                    self._on_redispatch()
-                    backlog.appendleft((index, job, kills[index]))
-
-    def _collect(
-        self, epoch: int, done: Set[int]
-    ) -> List[Tuple[int, int, object]]:
-        """Every result currently available (one brief blocking wait).
-
-        Waits on each member's private result pipe.  A dead worker's pipe
-        is drained too (its last ``send`` completed before it died, so the
-        bytes are intact) before EOF surfaces — results are never lost to
-        a death that happened after completion.
-        """
-        out: List[Tuple[int, int, object]] = []
-        by_conn = {
-            member.result_recv: member for member in self._members.values()
-        }
-        if not by_conn:
-            return out
-        ready = multiprocessing.connection.wait(
-            list(by_conn), timeout=self.POLL_S
-        )
-        for conn in ready:
-            member = by_conn[conn]
-            while True:
-                try:
-                    if not conn.poll(0):
-                        break
-                    item = conn.recv()
-                except (EOFError, OSError):
-                    break  # dead worker; the liveness pass handles it
-                item_epoch, index, payload = item
-                if item_epoch == epoch and index not in done:
-                    out.append((member.id, index, payload))
-        return out
-
-    def _degrade(
-        self,
-        backlog: Deque[Tuple[int, FlowJob, int]],
-        kills: Dict[int, int],
-    ) -> Iterator[Tuple[int, FlowRunReport]]:
-        """Respawn budget is gone: recover in-flight jobs, kill the pool,
-        and run everything left through the serial supervision path."""
-        if not self.degraded:
-            self.degraded = True
-            self._on_degrade()
-            for member in list(self._members.values()):
-                if member.inflight is not None:
-                    backlog.appendleft(member.inflight)
-                self._discard(member, kill=True)
-            self._update_live_gauge()
-        if not self.degrade_to_serial:
-            raise WorkerPoolError(
-                f"worker pool exhausted its respawn budget "
-                f"({self.max_respawns}) and degrade_to_serial is off; "
-                f"{len(backlog)} job(s) unfinished"
-            )
-        while backlog:
-            index, job, _ = backlog.popleft()
-            # Groups degrade to their members run one by one: a stack is
-            # bit-identical to its lanes run alone, so the serial path
-            # reproduces each outcome.
-            for job_index, member_job in _task_members(index, job):
-                yield job_index, self._run_inprocess(
-                    job_index, member_job, kills.get(index, 0)
-                )
-
-    # -- shutdown ------------------------------------------------------
-    def shutdown(self, timeout_s: float = 5.0) -> None:
-        """Graceful stop: sentinel + bounded join, then kill stragglers.
-
-        The bounded wait lets idle workers exit cleanly (flushing any
-        in-progress teardown) without letting a wedged worker block
-        shutdown forever.
-        """
-        for member in self._members.values():
-            if member.process.is_alive():
-                try:
-                    member.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + timeout_s
-        for member in self._members.values():
-            member.process.join(max(0.0, deadline - time.monotonic()))
-        for member in self._members.values():
-            if member.process.is_alive():
-                member.process.kill()
-                member.process.join()
-            try:
-                member.result_recv.close()
-            except OSError:
-                pass
-        self._members.clear()
-        self._update_live_gauge()
 
 
 # ----------------------------------------------------------------------
@@ -934,10 +600,7 @@ class ParallelFlowExecutor:
         fault_plan: Optional :class:`FaultPlan` rehearsing failures with a
             job-index-keyed schedule (disables the cache for the batch —
             injected outcomes must never be persisted as truth).
-        start_method: Multiprocessing start method; default prefers
-            ``fork`` (workers inherit the parent's warm netlist cache for
-            free) and falls back to the platform default.
-        max_respawns: Worker deaths the supervisor absorbs (respawning the
+        max_respawns: Worker deaths the pool absorbs (respawning the
             worker each time) before the pool stops replacing workers and,
             once none are left, degrades.
         poison_retries: Times a job whose worker died is re-dispatched
@@ -969,7 +632,6 @@ class ParallelFlowExecutor:
         seed: int = 0,
         cache: Union[QoRCache, os.PathLike, str, None] = None,
         fault_plan: Optional[FaultPlan] = None,
-        start_method: Optional[str] = None,
         max_respawns: int = 8,
         poison_retries: int = 1,
         watchdog_s: Optional[float] = None,
@@ -1010,11 +672,8 @@ class ParallelFlowExecutor:
             seed=seed,
             fault_plan=fault_plan,
         )
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._start_method = start_method
-        self._pool: Optional[_WorkerSupervisor] = None
+        self._pool: Optional[SupervisedPool] = None
+        self._epoch = 0
         self._counter_lock = new_lock()
         self.jobs_run = 0
         self.batches_run = 0
@@ -1144,7 +803,7 @@ class ParallelFlowExecutor:
                                 )
                                 queue_depth.dec()
                     else:
-                        supervisor = self._ensure_pool(jobs)
+                        self._ensure_pool(jobs)
                         before = self._supervision_counters()
                         with get_tracer().span(
                             "flow.supervise", workers=self.workers,
@@ -1154,7 +813,7 @@ class ParallelFlowExecutor:
                             # stragglers never stall finished results, and
                             # submission order is restored from the index,
                             # so completion order is unobservable.
-                            for index, report in supervisor.run(tasks):
+                            for index, report in self._run_pool(tasks):
                                 reports[index] = report
                                 queue_depth.dec()
                             after = self._supervision_counters()
@@ -1274,19 +933,24 @@ class ParallelFlowExecutor:
                 "poisoned": self.poison_jobs,
             }
 
-    def _note_restart(self, worker_id: int, exitcode: Optional[int],
-                      job_index: Optional[int]) -> None:
-        with self._counter_lock:
-            self.worker_restarts += 1
-        get_registry().counter("flow_worker_restarts_total").inc(
-            mode="pool"
-        )
-        with get_tracer().span(
-            "flow.worker_restart", worker=worker_id,
-            exitcode=-1 if exitcode is None else int(exitcode),
-            job=-1 if job_index is None else int(job_index),
-        ):
-            pass
+    def _note_death(self, death) -> Optional[Tuple[int, object, int]]:
+        """Count one worker death's respawn; returns its lost task."""
+        member = death.member
+        lost = member.inflight
+        if death.replacement is not None:
+            with self._counter_lock:
+                self.worker_restarts += 1
+            get_registry().counter("flow_worker_restarts_total").inc(
+                mode="pool"
+            )
+            exitcode = member.process.exitcode
+            with get_tracer().span(
+                "flow.worker_restart", worker=member.id,
+                exitcode=-1 if exitcode is None else int(exitcode),
+                job=-1 if lost is None else int(lost[0]),
+            ):
+                pass
+        return lost
 
     def _note_redispatch(self) -> None:
         with self._counter_lock:
@@ -1313,9 +977,8 @@ class ParallelFlowExecutor:
             for key, value in stats.items():
                 self._batch_stats[key] = self._batch_stats.get(key, 0) + value
 
-    def _ensure_pool(self, jobs: Sequence[FlowJob]) -> _WorkerSupervisor:
+    def _ensure_pool(self, jobs: Sequence[FlowJob]) -> SupervisedPool:
         if self._pool is None:
-            context = multiprocessing.get_context(self._start_method)
             warm = []
             seen = set()
             for job in jobs:
@@ -1323,31 +986,157 @@ class ParallelFlowExecutor:
                 if key not in seen:
                     seen.add(key)
                     warm.append(key)
-            if self._start_method == "fork":
+            if START_METHOD == "fork":
                 # Generate each pristine netlist once in the parent; every
                 # forked worker — including respawns — inherits the warm
                 # cache copy-on-write.
                 _worker_init(self._settings, warm)
                 warm = []
-            self._pool = _WorkerSupervisor(
-                context,
-                workers=self.workers,
-                settings=self._settings,
-                warm=warm,
+            settings = self._settings
+            self._pool = SupervisedPool(
+                _supervised_worker,
+                lambda: (settings, warm),
+                size=self.workers,
                 max_respawns=self.max_respawns,
-                poison_retries=self.poison_retries,
-                watchdog_s=self.watchdog_s,
-                degrade_to_serial=self.degrade_to_serial,
-                run_inprocess=self._run_supervised_inprocess,
-                on_restart=self._note_restart,
-                on_redispatch=self._note_redispatch,
-                on_poison=self._note_poison,
-                on_degrade=self._note_degraded,
-                on_batch_stats=self._note_batch_stats,
+                gauge="flow_workers_live",
             )
         return self._pool
 
-    def close(self, timeout_s: float = 5.0) -> None:
+    # -- the pool's flow policy ----------------------------------------
+    def _run_pool(
+        self, tasks: Sequence[Tuple[int, object]]
+    ) -> Iterator[Tuple[int, FlowRunReport]]:
+        """Drive one batch through the worker pool.
+
+        Yields ``(index, report)`` for *every* job, exactly once, as jobs
+        finish, whatever workers die, stall, or take the pool down:
+
+        - a worker that dies holding a task hands it back, and the task is
+          re-dispatched with an incremented dispatch count up to
+          ``poison_retries`` times, then quarantined as a typed
+          :class:`~repro.errors.WorkerCrash` report;
+        - a task in flight longer than ``watchdog_s`` gets its worker
+          killed and surfaces as a typed
+          :class:`~repro.errors.FlowTimeout` report;
+        - once no worker is left the rest of the batch runs in-process
+          (or :class:`~repro.errors.WorkerPoolError` is raised when
+          ``degrade_to_serial`` is off);
+        - non-flow exceptions shipped back from a worker are re-raised.
+
+        Answers carry the batch epoch, so a late answer to an earlier
+        batch can never be taken for this one's.
+        """
+        pool = self._pool
+        self._epoch += 1
+        epoch = self._epoch
+        backlog: Deque[Tuple[int, object, int]] = deque(
+            (index, job, 0) for index, job in tasks
+        )
+        kills: Dict[int, int] = {}
+        done: Set[int] = set()
+        # A _JobGroup task is one dispatch unit but several logical jobs.
+        total = sum(
+            len(job) if isinstance(job, _JobGroup) else 1
+            for _, job in tasks
+        )
+        finished = 0
+        while finished < total:
+            if self.degraded or not pool.members:
+                for item in self._degrade_pool(backlog, kills):
+                    done.add(item[0])
+                    finished += 1
+                    yield item
+                continue
+            for member in pool.idle():
+                if not backlog:
+                    break
+                index, job, dispatch = backlog.popleft()
+                pool.dispatch(member, (epoch, index, job, dispatch),
+                              work=(index, job, dispatch))
+            answers, deaths = pool.poll()
+            for _, (item_epoch, index, payload) in answers:
+                if item_epoch != epoch or index in done:
+                    continue
+                done.add(index)
+                if isinstance(payload, _GroupResult):
+                    self._note_batch_stats(payload.stats)
+                    for job_index, report in payload.reports:
+                        done.add(job_index)
+                        finished += 1
+                        yield job_index, report
+                else:
+                    finished += 1
+                    yield index, payload
+            # A dead worker's in-flight task was lost with it.
+            for death in deaths:
+                lost = self._note_death(death)
+                if lost is None or lost[0] in done:
+                    continue
+                index, job, _ = lost
+                kills[index] = kills.get(index, 0) + 1
+                if kills[index] > self.poison_retries:
+                    self._note_poison()
+                    done.add(index)
+                    for job_index, member_job in _task_members(index, job):
+                        done.add(job_index)
+                        finished += 1
+                        yield job_index, _quarantine_report(
+                            member_job, kills[index]
+                        )
+                else:
+                    self._note_redispatch()
+                    backlog.appendleft((index, job, kills[index]))
+            # Watchdog: kill workers stuck past the wall-clock budget.
+            if self.watchdog_s is None:
+                continue
+            now = time.monotonic()
+            for member in pool.members:
+                if member.inflight is None \
+                        or now - member.dispatched_at <= self.watchdog_s:
+                    continue
+                index, job, _ = self._note_death(
+                    pool.retire(member, kill=True)
+                )
+                if index in done:
+                    continue
+                done.add(index)
+                for job_index, member_job in _task_members(index, job):
+                    done.add(job_index)
+                    finished += 1
+                    yield job_index, _watchdog_report(
+                        member_job, self.watchdog_s
+                    )
+
+    def _degrade_pool(
+        self,
+        backlog: Deque[Tuple[int, object, int]],
+        kills: Dict[int, int],
+    ) -> Iterator[Tuple[int, FlowRunReport]]:
+        """No worker left: recover in-flight tasks, stop the pool, and run
+        everything left through the serial supervision path."""
+        if not self.degraded:
+            self._note_degraded()
+            for member in self._pool.members:
+                if member.inflight is not None:
+                    backlog.appendleft(member.inflight)
+            self._pool.shutdown(timeout_s=0.0)
+        if not self.degrade_to_serial:
+            raise WorkerPoolError(
+                f"worker pool exhausted its respawn budget "
+                f"({self.max_respawns}) and degrade_to_serial is off; "
+                f"{len(backlog)} job(s) unfinished"
+            )
+        while backlog:
+            index, job, _ = backlog.popleft()
+            # Groups degrade to their members run one by one: a stack is
+            # bit-identical to its lanes run alone, so the serial path
+            # reproduces each outcome.
+            for job_index, member_job in _task_members(index, job):
+                yield job_index, self._run_supervised_inprocess(
+                    job_index, member_job, kills.get(index, 0)
+                )
+
+    def close(self, timeout_s: float = SHUTDOWN_S) -> None:
         """Shut the worker pool down (idempotent).
 
         Graceful first — shutdown sentinels plus a bounded join, so idle

@@ -43,9 +43,7 @@ sequential loop: same shared jitter stream across jobs, no batch span.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -99,8 +97,6 @@ class RuntimeConfig:
             disabled tracer, so a globally-enabled trace skips flow spans
             and flow metrics from this session (results are bit-identical
             either way; instrumentation never consumes RNG).
-        start_method: Multiprocessing start method override (``None``
-            prefers ``fork`` so workers inherit the warm netlist cache).
         max_respawns: Worker deaths the supervised pool absorbs (each one
             respawning a warm replacement worker) before it stops
             replacing workers and degrades.
@@ -133,7 +129,6 @@ class RuntimeConfig:
     seed: int = 0
     fault_plan: Optional[FaultPlan] = None
     trace: bool = True
-    start_method: Optional[str] = None
     max_respawns: int = 8
     poison_retries: int = 1
     watchdog_s: Optional[float] = None
@@ -187,13 +182,6 @@ class RuntimeConfig:
             raise RuntimeConfigError(
                 f"trace must be a bool, got {type(self.trace).__name__}"
             )
-        if self.start_method is not None and (
-            self.start_method not in multiprocessing.get_all_start_methods()
-        ):
-            raise RuntimeConfigError(
-                f"unknown start_method {self.start_method!r}; available: "
-                f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
         for name in ("max_respawns", "poison_retries"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
@@ -224,23 +212,6 @@ class RuntimeConfig:
     def replace(self, **overrides) -> "RuntimeConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return dataclasses.replace(self, **overrides)
-
-
-def warn_legacy_runtime_kwargs(site: str, **kwargs: object) -> None:
-    """One ``DeprecationWarning`` per call site still using pre-session
-    keyword plumbing.
-
-    The message always names ``RuntimeConfig`` — the test suite turns
-    exactly these warnings into errors (see ``pyproject.toml``), keeping
-    migrated code honest while the shims live out their release.
-    """
-    names = ", ".join(sorted(kwargs))
-    warnings.warn(
-        f"{site}({names}=...) is deprecated; pass a "
-        f"repro.runtime.RuntimeConfig instead (runtime=RuntimeConfig(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # A permanently-disabled tracer, installed globally for the duration of a
@@ -318,7 +289,6 @@ class FlowSession:
                 seed=config.seed,
                 cache=config.qor_cache_path,
                 fault_plan=config.fault_plan,
-                start_method=config.start_method,
                 max_respawns=config.max_respawns,
                 poison_retries=config.poison_retries,
                 watchdog_s=config.watchdog_s,

@@ -25,9 +25,11 @@ own bounded queue.  :class:`ServingCluster` is the scale-out layer:
   fraction of traffic is pinned to a registered-but-inactive version
   (canary), or mirrored to it for comparison without affecting responses
   (shadow);
-- **self-healing membership** (the PR-6/PR-7 IPC discipline): per-replica
-  command ``SimpleQueue`` + private result ``Pipe`` with synchronous
-  sends, death detection by pipe EOF, respawn under a restart budget, and
+- **self-healing membership**: process replicas are members of a
+  :class:`~repro.runtime.supervisor.SupervisedPool` (private command
+  queue and result pipe, death as pipe EOF, restart budget, seeded kill
+  chaos, bounded shutdown).  The gateway adds per-replica reader threads
+  that post to the event loop, routing slots keyed by replica id, and
   re-dispatch of a dead replica's in-flight requests — an accepted
   request is never lost.
 
@@ -41,14 +43,11 @@ policy at any replica count.
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Union
-
-import multiprocessing
 
 import numpy as np
 
@@ -61,14 +60,13 @@ from repro.errors import (
 )
 from repro.observability import get_registry, get_tracer
 from repro.observability.trace import Tracer, set_tracer
-from repro.runtime.parallel import _RemoteError
+from repro.runtime.supervisor import Chaos, Member, RemoteError, SupervisedPool
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import ResultCache, quantize_insight
 from repro.serving.registry import ModelRegistry, ModelSource
 from repro.serving.router import ROUTING_POLICIES, _hash64, router_for
 from repro.serving.scheduler import RequestStatus, ServingConfig
 from repro.serving.service import INITIAL_VERSION, RecommendationService
-from repro.utils.rng import derive_rng
 
 #: Exit code of a chaos-killed replica (distinct from real crashes).
 KILL_EXIT_CODE = 23
@@ -105,8 +103,6 @@ class ClusterConfig:
         max_replica_restarts: Replica deaths absorbed (with respawn)
             before the cluster stops healing; with no replica left it
             degrades to in-gateway serving.
-        start_method: Multiprocessing start method (default: fork when
-            available).
     """
 
     replicas: int = 2
@@ -120,7 +116,6 @@ class ClusterConfig:
     kill_rate: float = 0.0
     kill_seed: int = 0
     max_replica_restarts: int = 8
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -197,8 +192,8 @@ class _ClusterRequest:
     _l1_hit: bool = field(default=False, repr=False)
 
 
-def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
-                  cmd_queue, result_conn) -> None:
+def _replica_main(replica_id: int, spawn: int, cmd_queue, result_conn,
+                  spec: _ReplicaSpec) -> None:
     """Main of one replica process.
 
     Greedily drains its command queue each wake-up, submits every pending
@@ -210,12 +205,13 @@ def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
     disagree with the cache key the gateway stored.
 
     Chaos rehearsal: with ``kill_rate`` set, each serve command first
-    draws from a ``(kill_seed, replica_id, spawn)`` stream and may
-    ``os._exit`` — the hard mid-flight death the membership layer
+    draws from a ``(kill_seed, "replica-kill", replica_id, spawn)`` stream
+    and may ``os._exit`` — the hard mid-flight death the supervised pool
     absorbs.  Runs trace-quiet (the gateway emits the cluster spans).
     """
     set_tracer(Tracer(exporter=None, enabled=False))
-    kill_rng = derive_rng(spec.kill_seed, "replica-kill", replica_id, spawn)
+    chaos = Chaos(spec.kill_rate, spec.kill_seed, "replica-kill",
+                  replica_id, spawn, KILL_EXIT_CODE)
     registry = ModelRegistry()
     for version, source in spec.sources.items():
         registry.register(version, source)
@@ -233,9 +229,7 @@ def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
                 return
             kind = command[0]
             if kind == "serve":
-                if spec.kill_rate > 0 and \
-                        float(kill_rng.random()) < spec.kill_rate:
-                    os._exit(KILL_EXIT_CODE)
+                chaos.strike()
                 _, rid, insight, k, version, deadline_s = command
                 try:
                     try:
@@ -250,7 +244,7 @@ def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
                             model_version=version,
                         )
                 except BaseException as err:  # noqa: BLE001 - shipped back
-                    result_conn.send(("error", rid, _RemoteError(err)))
+                    result_conn.send(("error", rid, RemoteError(err)))
                     continue
                 tickets.append((rid, ticket))
             elif kind == "register":
@@ -262,7 +256,7 @@ def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
                 try:
                     service.hot_swap(command[1])
                 except BaseException as err:  # noqa: BLE001 - shipped back
-                    result_conn.send(("error", -1, _RemoteError(err)))
+                    result_conn.send(("error", -1, RemoteError(err)))
         if tickets:
             service.flush()
             for rid, ticket in tickets:
@@ -275,66 +269,25 @@ def _replica_main(replica_id: int, spawn: int, spec: _ReplicaSpec,
 
 
 class _ProcessReplica:
-    """Gateway handle of one replica child process + its reader thread."""
+    """Routing slot of one replica process: its pool member, load and
+    in-flight requests."""
 
     backend = "process"
 
-    def __init__(self, cluster: "ServingCluster", replica_id: int,
-                 spawn: int) -> None:
-        self.id = replica_id
-        self.spawn = spawn
+    def __init__(self, member: Member) -> None:
+        self.member = member
+        self.id = member.id
+        self.spawn = member.spawn
         self.load = 0
         self.inflight: Dict[int, _ClusterRequest] = {}
         self.dead = False
-        ctx = cluster._ctx
-        self._cmd_queue = ctx.SimpleQueue()
-        self._result_recv, result_send = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
-            target=_replica_main,
-            args=(replica_id, spawn, cluster._spec(), self._cmd_queue,
-                  result_send),
-            daemon=True,
-        )
-        self.process.start()
-        # The replica holds the only writer: death surfaces as EOF.
-        result_send.close()
-        self._reader = threading.Thread(
-            target=self._drain, args=(cluster,), daemon=True,
-            name=f"replica-r{replica_id}s{spawn}-reader",
-        )
-        self._reader.start()
 
     @property
     def alive(self) -> bool:
-        return not self.dead and self.process.is_alive()
+        return not self.dead and self.member.alive
 
     def send(self, command: tuple) -> None:
-        self._cmd_queue.put(command)
-
-    def _drain(self, cluster: "ServingCluster") -> None:
-        """Reader thread: pipe -> gateway event queue, EOF -> death."""
-        while True:
-            try:
-                item = self._result_recv.recv()
-            except (EOFError, OSError):
-                cluster._post(("dead", self.id, self.spawn))
-                return
-            cluster._post(("msg", self.id, self.spawn, item))
-
-    def shutdown(self) -> None:
-        if self.process.is_alive():
-            try:
-                self._cmd_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        try:
-            self._result_recv.close()
-        except OSError:
-            pass
+        self.member.send(command)
 
 
 class _InlineReplica:
@@ -349,10 +302,10 @@ class _InlineReplica:
 
     backend = "inline"
 
-    def __init__(self, cluster: "ServingCluster", replica_id: int,
-                 spawn: int) -> None:
+    spawn = 0
+
+    def __init__(self, cluster: "ServingCluster", replica_id: int) -> None:
         self.id = replica_id
-        self.spawn = spawn
         self.load = 0
         self.inflight: Dict[int, _ClusterRequest] = {}
         self.dead = False
@@ -381,7 +334,7 @@ class _InlineReplica:
             except BaseException as err:  # noqa: BLE001 - same surface
                 self._cluster._handle_event(
                     ("msg", self.id, self.spawn,
-                     ("error", rid, _RemoteError(err)))
+                     ("error", rid, RemoteError(err)))
                 )
                 return
             if ticket.status is RequestStatus.EXPIRED:
@@ -396,9 +349,6 @@ class _InlineReplica:
                 pass
         elif kind == "swap":
             self.service.hot_swap(command[1])
-
-    def shutdown(self) -> None:
-        self.dead = True
 
 
 class ServingCluster:
@@ -433,19 +383,11 @@ class ServingCluster:
         )
         self.router = router_for(config.routing, config.replicas)
         self.admission = AdmissionController(config.shed_watermark)
-        if config.start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        else:
-            start_method = config.start_method
-        self._ctx = multiprocessing.get_context(start_method)
         self._events: Deque[tuple] = deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight: Dict[int, _ClusterRequest] = {}
         self._next_rid = 0
-        self._spawns = 0
         self._outstanding = 0
-        self._restarts = 0
         self._redispatched = 0
         self._completed = 0
         self._l1_hits = 0
@@ -461,16 +403,30 @@ class ServingCluster:
         self._closed = False
         self._fallback: Optional[_InlineReplica] = None
         self._init_metrics()
-        replica_cls = (
-            _ProcessReplica if config.backend == "process"
-            else _InlineReplica
-        )
-        self._replicas: List[object] = []
-        for replica_id in range(config.replicas):
-            self._replicas.append(
-                replica_cls(self, replica_id, self._next_spawn())
+        self._pool: Optional[SupervisedPool] = None
+        self._replicas: List[object]
+        if config.backend == "process":
+            # Respawns take the dead replica's id: routing slots and the
+            # chaos streams are keyed by it.
+            self._pool = SupervisedPool(
+                _replica_main,
+                lambda: (self._spec(),),
+                size=config.replicas,
+                max_respawns=config.max_replica_restarts,
+                gauge="serving_replicas_live",
+                gauge_help="live serving replicas",
+                reuse_ids=True,
+                on_spawn=self._start_reader,
             )
-        self._set_live_gauge()
+            self._replicas = [
+                _ProcessReplica(member) for member in self._pool.members
+            ]
+        else:
+            self._replicas = [
+                _InlineReplica(self, replica_id)
+                for replica_id in range(config.replicas)
+            ]
+            self._m_live.set(len(self._replicas))
 
     # -- construction helpers ------------------------------------------
     def _spec(self) -> _ReplicaSpec:
@@ -481,11 +437,6 @@ class ServingCluster:
             kill_rate=self.config.kill_rate,
             kill_seed=self.config.kill_seed,
         )
-
-    def _next_spawn(self) -> int:
-        spawn = self._spawns
-        self._spawns += 1
-        return spawn
 
     def _init_metrics(self) -> None:
         reg = get_registry()
@@ -535,10 +486,23 @@ class ServingCluster:
             "serving_replicas_live", "live serving replicas"
         )
 
-    def _set_live_gauge(self) -> None:
-        self._m_live.set(sum(1 for h in self._replicas if h.alive))
-
     # -- event plumbing ------------------------------------------------
+    def _start_reader(self, member: Member) -> None:
+        threading.Thread(
+            target=self._drain, args=(member,), daemon=True,
+            name=f"replica-r{member.id}s{member.spawn}-reader",
+        ).start()
+
+    def _drain(self, member: Member) -> None:
+        """Reader thread: pipe -> gateway event queue, EOF -> death."""
+        while True:
+            try:
+                item = member.results.recv()
+            except (EOFError, OSError):
+                self._post(("dead", member.id, member.spawn))
+                return
+            self._post(("msg", member.id, member.spawn, item))
+
     def _post(self, event: tuple) -> None:
         """Thread-safe: enqueue an event and wake the loop if running."""
         self._events.append(event)
@@ -605,18 +569,13 @@ class ServingCluster:
         lost = list(handle.inflight.values())
         handle.inflight.clear()
         handle.load = 0
-        if hasattr(handle, "process"):
-            handle.process.join(timeout=1.0)
-        if self._restarts < self.config.max_replica_restarts:
-            self._restarts += 1
+        death = self._pool.retire(handle.member)
+        if death.replacement is not None:
             self._m_restarts.inc()
-            self._replicas[replica_id] = _ProcessReplica(
-                self, replica_id, self._next_spawn()
-            )
+            self._replicas[replica_id] = _ProcessReplica(death.replacement)
         elif not self.degraded:
             self.degraded = True
             self._m_degraded.inc()
-        self._set_live_gauge()
         tracer = get_tracer()
         with tracer.span(
             "serve.replica_restart", replica=replica_id,
@@ -739,7 +698,7 @@ class ServingCluster:
     def _serve_fallback(self, request: _ClusterRequest) -> None:
         """Degraded path: no live replica — decode in the gateway."""
         if self._fallback is None:
-            self._fallback = _InlineReplica(self, -1, self._next_spawn())
+            self._fallback = _InlineReplica(self, -1)
         fallback = self._fallback
         fallback.inflight[request.rid] = request
         request.dispatch += 1
@@ -876,12 +835,14 @@ class ServingCluster:
             return
         self._closed = True
         self._pump()
-        for handle in self._replicas:
-            handle.shutdown()
-        if self._fallback is not None:
-            self._fallback.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
+        else:
+            self._m_live.set(0)
+        for handle in self._replicas + [self._fallback]:
+            if handle is not None:
+                handle.dead = True
         self._loop = None
-        self._m_live.set(0)
 
     def __enter__(self) -> "ServingCluster":
         return self
@@ -901,7 +862,7 @@ class ServingCluster:
             "routing": self.router.name,
             "model_version": self._active_version,
             "live": sum(1 for h in self._replicas if h.alive),
-            "restarts": self._restarts,
+            "restarts": self._pool.respawns if self._pool else 0,
             "redispatched": self._redispatched,
             "degraded": self.degraded,
             "completed": self._completed,

@@ -119,8 +119,6 @@ class TestConfigValidation:
         dict(max_actor_respawns=-1),
         dict(queue_capacity=0),
         dict(kill_rate=1.5),
-        dict(start_method="threads"),
-        dict(poll_s=0.0),
     ])
     def test_bad_values_are_typed(self, overrides):
         with pytest.raises(RuntimeConfigError):

@@ -1,14 +1,12 @@
-"""FlowSession / RuntimeConfig: validation, shims, and the one-door rule.
+"""FlowSession / RuntimeConfig: validation, runtime=, and the one-door rule.
 
 Three concerns live here:
 
 1. ``RuntimeConfig`` rejects every malformed field with a typed
    ``RuntimeConfigError`` before any flow runs, and ``FlowSession``
    rejects contradictory compositions (injected executor + pool/cache).
-2. The deprecation shims on the old per-call-site keywords still work,
-   still produce identical results, and warn with a message naming
-   ``RuntimeConfig`` (the test suite elsewhere turns exactly those
-   warnings into errors — see ``pyproject.toml``).
+2. Flow consumers take their runtime as ``runtime=RuntimeConfig(...)``
+   and produce the same results through it.
 3. The refactor's structural invariant: nothing outside
    ``repro/runtime/`` constructs ``FlowExecutor`` / ``ParallelFlowExecutor``
    directly any more — every consumer goes through a session.
@@ -20,7 +18,7 @@ import re
 import pytest
 
 from conftest import tiny_profile
-from repro.errors import FlowCrash, FlowError, RuntimeConfigError
+from repro.errors import FlowCrash, RuntimeConfigError
 from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.runner import (
     netlist_cache_info,
@@ -64,7 +62,6 @@ class TestRuntimeConfigValidation:
         dict(seed=False),
         dict(fault_plan="crash-everything"),
         dict(trace="yes"),
-        dict(start_method="quantum"),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(RuntimeConfigError):
@@ -202,80 +199,34 @@ class TestTraceToggle:
         assert outcomes[0].qor == outcomes[1].qor
 
 
-class TestDeprecationShims:
-    """Old keyword spellings warn (naming RuntimeConfig) but still work."""
+class TestRuntimeKeyword:
+    """The ``runtime=RuntimeConfig(...)`` spelling every flow consumer
+    takes in place of per-call-site worker and cache keywords."""
 
-    def test_online_config_flow_workers(self):
+    def test_online_config_runtime_workers(self):
         from repro.core.online import OnlineConfig
 
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            config = OnlineConfig(flow_workers=2)
+        config = OnlineConfig(runtime=RuntimeConfig(workers=2))
         assert config.resolved_runtime().workers == 2
+        # Without one, the loop runs in-process under its own seed.
+        assert OnlineConfig(seed=7).resolved_runtime() == \
+            RuntimeConfig(seed=7)
 
-    def test_online_config_qor_cache_path(self, tmp_path):
+    def test_online_config_runtime_qor_cache_path(self, tmp_path):
         from repro.core.online import OnlineConfig
 
         path = str(tmp_path / "qor")
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            config = OnlineConfig(qor_cache_path=path)
+        config = OnlineConfig(runtime=RuntimeConfig(qor_cache_path=path))
         assert config.resolved_runtime().qor_cache_path == path
 
-    def test_online_config_rejects_both_spellings(self):
-        from repro.core.online import OnlineConfig
-        from repro.errors import TrainingError
-
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            with pytest.raises(TrainingError):
-                OnlineConfig(flow_workers=2, runtime=RuntimeConfig())
-
-    def test_build_offline_dataset_processes(self):
-        from repro.core.dataset import build_offline_dataset
-
-        kwargs = dict(designs=["D6"], sets_per_design=2, seed=5)
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            legacy = build_offline_dataset(processes=1, **kwargs)
-        current = build_offline_dataset(
-            runtime=RuntimeConfig(workers=1), **kwargs
-        )
-        assert [(p.design, p.recipe_set, p.qor) for p in legacy.points] == \
-            [(p.design, p.recipe_set, p.qor) for p in current.points]
-
-    def test_build_offline_dataset_rejects_both_spellings(self):
-        from repro.core.dataset import build_offline_dataset
-        from repro.errors import TrainingError
-
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            with pytest.raises(TrainingError):
-                build_offline_dataset(
-                    designs=["D6"], sets_per_design=2, processes=1,
-                    runtime=RuntimeConfig(),
-                )
-
-    def test_sweep_workers_and_cache(self, tmp_path):
-        from repro.flow.sweep import sweep
-
-        profile = tiny_profile()
-        axes = {"opt.vt_swap_bias": [0.9, 1.1]}
-        current = sweep(profile, axes, seed=4)
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            legacy = sweep(
-                profile, axes, seed=4, workers=1,
-                qor_cache_path=str(tmp_path / "qor"),
-            )
-        assert legacy.qors == current.qors
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            with pytest.raises(FlowError):
-                sweep(profile, axes, seed=4, workers=2,
-                      runtime=RuntimeConfig())
-
-    def test_parallel_flow_objective_workers(self):
+    def test_parallel_flow_objective_matches_run_flow(self):
         from repro.baselines.common import ParallelFlowObjective
 
         profile = tiny_profile()
-        with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-            objective = ParallelFlowObjective(
-                profile, lambda qor: -qor["power_mw"], workers=1
-            )
+        objective = ParallelFlowObjective(
+            profile, lambda qor: -qor["power_mw"],
+            runtime=RuntimeConfig(workers=1),
+        )
         try:
             score = objective((0,) * 40)
         finally:
