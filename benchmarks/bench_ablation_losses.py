@@ -13,10 +13,10 @@ ranking accuracy.
 
 import numpy as np
 
-from repro.core.alignment import AlignmentConfig, AlignmentTrainer, _batched_log_prob
+from repro.core.alignment import AlignmentConfig, AlignmentTrainer
 from repro.core.crossval import evaluate_design
 from repro.core.model import InsightAlignModel
-from repro.core.policy import sequence_log_prob_value
+from repro.core.policy import sequence_log_prob_value, sequence_log_probs
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.utils.rng import derive_rng
 
@@ -63,7 +63,7 @@ def _train_supervised(train_set):
             sel = order[start:start + 192]
             insights = np.stack([batch_insights[i] for i in sel])
             decisions = np.stack([batch_sets[i] for i in sel])
-            loss = -_batched_log_prob(model, insights, decisions).mean()
+            loss = -sequence_log_probs(model, insights, decisions).mean()
             optimizer.zero_grad()
             loss.backward()
             clip_grad_norm(model.parameters(), 5.0)

@@ -5,10 +5,11 @@ EDA substrate:
 
 - :mod:`repro.core.qor` — compound QoR score (eq. 4).
 - :mod:`repro.core.model` — the decoder-only recipe LM (Table III).
-- :mod:`repro.core.policy` — teacher-forced sequence likelihoods (eq. 3).
-- :mod:`repro.core.dpo` — DPO (eq. 1) and margin-based DPO (eq. 2).
+- :mod:`repro.core.policy` — teacher-forced sequence likelihoods (eq. 3),
+  one batched forward that every preference trainer shares.
 - :mod:`repro.core.ppo` — the PPO surrogate used in online fine-tuning.
-- :mod:`repro.core.alignment` — Algorithm 1's ALIGNMENTTRAIN.
+- :mod:`repro.core.alignment` — Algorithm 1's ALIGNMENTTRAIN: the batched
+  margin-based DPO step (eq. 2), reused by multi-intention training.
 - :mod:`repro.core.beam` — Algorithm 1's BEAMSEARCH.
 - :mod:`repro.core.dataset` — offline (insight, recipe set, QoR) archive.
 - :mod:`repro.core.crossval` — the k-fold zero-shot evaluation (Table IV).

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.dataset import OfflineDataset
 from repro.core.model import InsightAlignModel
+from repro.core.policy import sequence_log_probs
 from repro.core.qor import QoRIntention
 from repro.errors import TrainingError
 from repro.nn.optim import Adam, clip_grad_norm
@@ -352,19 +353,6 @@ class AlignmentTrainer:
         return float(hinge.mean().item()), correct
 
 
-def _batched_log_prob(
-    model: InsightAlignModel, insights: np.ndarray, decisions: np.ndarray
-) -> Tensor:
-    """Row-wise eq.-3 sequence log-likelihoods, shape ``(B,)``."""
-    logits = model.batched_logits(insights, decisions)
-    selected = Tensor(decisions.astype(np.float64))
-    per_step = (
-        selected * logits.log_sigmoid()
-        + (1.0 - selected) * (-logits).log_sigmoid()
-    )
-    return per_step.sum(axis=-1)
-
-
 def _fused_pair_log_probs(
     model: InsightAlignModel,
     insights: np.ndarray,
@@ -382,5 +370,5 @@ def _fused_pair_log_probs(
     batch = winners.shape[0]
     stacked_insights = np.concatenate([insights, insights], axis=0)
     stacked_decisions = np.concatenate([winners, losers], axis=0)
-    logp = _batched_log_prob(model, stacked_insights, stacked_decisions)
+    logp = sequence_log_probs(model, stacked_insights, stacked_decisions)
     return logp[:batch], logp[batch:]

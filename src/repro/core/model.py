@@ -70,22 +70,19 @@ class InsightAlignModel(Module):
         self,
         insight: np.ndarray,
         decisions: Optional[np.ndarray] = None,
-        prefix_length: Optional[int] = None,
     ) -> Tensor:
-        """Selection logits for each recipe step.
+        """Selection logits for each recipe step of one sequence.
 
         Args:
             insight: Insight vector, shape ``(insight_dims,)``.
             decisions: Teacher-forcing decisions in {0,1}, shape
-                ``(n_recipes,)``.  Entries at and after ``prefix_length``
-                are ignored (they sit behind the causal mask anyway).
-                ``None`` is equivalent to all zeros with prefix_length=0.
-            prefix_length: Number of decided steps; logits are returned for
-                all positions, but only positions ``<= prefix_length`` are
-                meaningful during incremental decoding.
+                ``(n_recipes,)``; ``None`` is all zeros.  Logit ``t`` sees
+                only decisions ``< t`` (causal mask), so incremental
+                decoding may leave undecided entries at zero.
 
         Returns:
-            Tensor of shape ``(n_recipes,)`` — pre-sigmoid logits.
+            Tensor of shape ``(n_recipes,)`` — pre-sigmoid logits, row 0
+            of a width-1 :meth:`batched_logits` call.
         """
         insight = np.asarray(insight, dtype=np.float64)
         if insight.shape != (self.insight_dims,):
@@ -99,33 +96,27 @@ class InsightAlignModel(Module):
             raise ModelError(
                 f"decisions shape {decisions.shape}, expected ({self.n_recipes},)"
             )
-        if np.any((decisions != 0) & (decisions != 1)):
-            raise ModelError("decisions must be binary")
-
-        # Input token at step t is the decision at t-1; SOS at step 0.
-        tokens = np.empty(self.n_recipes, dtype=np.int64)
-        tokens[0] = SOS_TOKEN
-        tokens[1:] = decisions[:-1]
-        x = self.token_embed(tokens) + Tensor(self._positions)
-        memory = self.insight_embed(Tensor(insight.reshape(1, -1)))
-        hidden = self.decoder(x, memory)
-        return self.head(hidden).reshape(self.n_recipes)
+        return self.batched_logits(
+            insight.reshape(1, -1), decisions.reshape(1, -1)
+        ).reshape(self.n_recipes)
 
     def batched_logits(
         self,
         insights: np.ndarray,
         decisions: np.ndarray,
     ) -> Tensor:
-        """Batched teacher-forced logits.
+        """Batched teacher-forced logits — the model's one decoder forward.
 
         Args:
             insights: ``(B, insight_dims)`` — one insight vector per row.
             decisions: ``(B, n_recipes)`` binary decisions per row.
 
+        Raises:
+            ModelError: On a shape mismatch or a non-binary decision.
+
         Returns:
-            Tensor ``(B, n_recipes)`` of pre-sigmoid logits.  Equivalent to
-            stacking :meth:`logits` over rows (verified by tests), but one
-            tensor graph — the training loop's hot path.
+            Tensor ``(B, n_recipes)`` of pre-sigmoid logits; each row is
+            computed independently of the others.
         """
         insights = np.asarray(insights, dtype=np.float64)
         decisions = np.asarray(decisions, dtype=np.int64)
@@ -133,33 +124,39 @@ class InsightAlignModel(Module):
             raise ModelError(f"insights shape {insights.shape} invalid")
         if decisions.shape != (insights.shape[0], self.n_recipes):
             raise ModelError(f"decisions shape {decisions.shape} invalid")
+        if np.any((decisions != 0) & (decisions != 1)):
+            raise ModelError("decisions must be binary")
         batch = insights.shape[0]
+        # Input token at step t is the decision at t-1; SOS at step 0.
         tokens = np.empty((batch, self.n_recipes), dtype=np.int64)
         tokens[:, 0] = SOS_TOKEN
         tokens[:, 1:] = decisions[:, :-1]
         x = self.token_embed(tokens) + Tensor(self._positions)
-        memory = self.insight_embed(
+        hidden = self.decoder(x, self._memory(insights))
+        return self.head(hidden).reshape(batch, self.n_recipes)
+
+    def _memory(self, insights: np.ndarray) -> Tensor:
+        """Cross-attention memory ``(B, M, dim)`` for validated insights.
+
+        The base model conditions on a single insight-embedding token
+        (``M = 1``); subclasses with richer conditioning (e.g. the
+        intention-conditioned model) override this hook to emit more.
+        """
+        batch = insights.shape[0]
+        return self.insight_embed(
             Tensor(insights.reshape(batch, 1, self.insight_dims))
         )
-        hidden = self.decoder(x, memory)
-        return self.head(hidden).reshape(batch, self.n_recipes)
 
     def memory_tokens(self, insights: np.ndarray) -> np.ndarray:
         """Cross-attention memory, ``(B, M, dim)`` — one token block per row.
 
-        The base model conditions on a single insight-embedding token
-        (``M = 1``); subclasses with richer conditioning (e.g. the
-        intention-conditioned model) override this to emit more tokens.
         Grad-free consumers (the serving inference engine) call this once
         per request instead of re-deriving the embedding wiring.
         """
         insights = np.asarray(insights, dtype=np.float64)
         if insights.ndim != 2 or insights.shape[1] != self.insight_dims:
             raise ModelError(f"insights shape {insights.shape} invalid")
-        batch = insights.shape[0]
-        return self.insight_embed(
-            Tensor(insights.reshape(batch, 1, self.insight_dims))
-        ).numpy()
+        return self._memory(insights).numpy()
 
     def probabilities(
         self,

@@ -12,19 +12,19 @@ intention without retraining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.alignment import AlignmentConfig, _batched_log_prob
+from repro.core.alignment import AlignmentConfig, AlignmentTrainer
 from repro.core.beam import BeamCandidate, beam_search
 from repro.core.dataset import OfflineDataset
 from repro.core.model import InsightAlignModel
 from repro.core.qor import QoRIntention
 from repro.errors import TrainingError
 from repro.insights.schema import INSIGHT_DIMS
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import derive_rng
 
@@ -73,7 +73,9 @@ class IntentionConditionedModel(InsightAlignModel):
     intention.
 
     The public interface is unchanged: ``insight`` is the concatenated
-    ``[72-d insight || intention code]`` vector, split internally.
+    ``[72-d insight || intention code]`` vector, split internally by the
+    :meth:`_memory` hook — the only override; the forward and its input
+    checks are the base model's.
     """
 
     def __init__(self, n_recipes: int = 40, dim: int = 32, seed: int = 0):
@@ -94,47 +96,12 @@ class IntentionConditionedModel(InsightAlignModel):
         )
 
     def _memory(self, packed: np.ndarray) -> Tensor:
+        """Two memory tokens per row, ``(B, 2, dim)``: insight and intent."""
         base = Tensor(packed[..., :INSIGHT_DIMS])
         code = Tensor(packed[..., INSIGHT_DIMS:])
         insight_token = self.insight_embed(base)
         intent_token = self.intent_embed(code)
         return Tensor.stack([insight_token, intent_token], axis=-2)
-
-    def memory_tokens(self, packed: np.ndarray) -> np.ndarray:
-        packed = np.asarray(packed, dtype=np.float64)
-        if packed.ndim != 2 or packed.shape[1] != self.insight_dims:
-            raise TrainingError(f"packed insights shape {packed.shape} invalid")
-        return self._memory(packed).numpy()
-
-    def logits(self, insight, decisions=None, prefix_length=None) -> Tensor:
-        packed = np.asarray(insight, dtype=np.float64)
-        if packed.shape != (self.insight_dims,):
-            raise TrainingError(
-                f"packed insight shape {packed.shape}, expected "
-                f"({self.insight_dims},)"
-            )
-        if decisions is None:
-            decisions = np.zeros(self.n_recipes, dtype=np.int64)
-        decisions = np.asarray(decisions, dtype=np.int64)
-        tokens = np.empty(self.n_recipes, dtype=np.int64)
-        tokens[0] = 2  # SOS
-        tokens[1:] = decisions[:-1]
-        x = self.token_embed(tokens) + Tensor(self._positions)
-        memory = self._memory(packed.reshape(1, -1)).reshape(2, self.dim)
-        hidden = self.decoder(x, memory)
-        return self.head(hidden).reshape(self.n_recipes)
-
-    def batched_logits(self, insights, decisions) -> Tensor:
-        insights = np.asarray(insights, dtype=np.float64)
-        decisions = np.asarray(decisions, dtype=np.int64)
-        batch = insights.shape[0]
-        tokens = np.empty((batch, self.n_recipes), dtype=np.int64)
-        tokens[:, 0] = 2
-        tokens[:, 1:] = decisions[:, :-1]
-        x = self.token_embed(tokens) + Tensor(self._positions)
-        memory = self._memory(insights)
-        hidden = self.decoder(x, memory)
-        return self.head(hidden).reshape(batch, self.n_recipes)
 
 
 @dataclass
@@ -161,61 +128,31 @@ class MultiIntentionRecommender:
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         rng = derive_rng(config.seed, "multi-intention")
 
-        # Pre-compute (conditioned insight, recipes, scores) per
-        # (design, intention) context.
-        contexts = []
-        for intention in intentions:
+        # One (conditioned insight, recipes, scores) context per
+        # (intention, design); alignment's sampler draws the pairs of each.
+        contexts = {}
+        for index, intention in enumerate(intentions):
             for design in dataset.designs():
-                contexts.append((
+                contexts[(index, design)] = (
                     conditioned_insight(dataset.insight_for(design), intention),
                     np.array([p.recipe_set for p in dataset.by_design(design)],
                              dtype=np.int64),
                     dataset.scores_for(design, intention),
-                ))
-
-        pairs_per_context = max(
-            8, config.pairs_per_design // max(1, len(intentions))
-        )
+                )
+        # DPO's uniform-reference objective only constrains likelihood
+        # *ratios*; a small behaviour-cloning anchor on the winners pins
+        # the absolute distribution near winning recipe sets so beam
+        # decoding emits realistic densities (standard DPO+SFT mixing).
+        trainer = AlignmentTrainer(replace(
+            config,
+            pairs_per_design=max(8, config.pairs_per_design // len(intentions)),
+            bc_anchor_weight=0.10,
+        ))
         for epoch in range(config.epochs):
-            batch_i, batch_w, batch_l, batch_m = [], [], [], []
-            for insight, recipes, scores in contexts:
-                count = len(scores)
-                idx_a = rng.integers(0, count, size=pairs_per_context)
-                idx_b = rng.integers(0, count, size=pairs_per_context)
-                for a, b in zip(idx_a, idx_b):
-                    gap = scores[a] - scores[b]
-                    if abs(gap) < config.min_score_gap:
-                        continue
-                    w, l = (a, b) if gap > 0 else (b, a)
-                    batch_i.append(insight)
-                    batch_w.append(recipes[w])
-                    batch_l.append(recipes[l])
-                    batch_m.append(config.lam * abs(gap))
-            if not batch_m:
-                raise TrainingError("no usable pairs across intentions")
-            order = rng.permutation(len(batch_m))
-            epoch_losses = []
-            for start in range(0, len(order), config.batch_size):
-                sel = order[start:start + config.batch_size]
-                insights = np.stack([batch_i[k] for k in sel])
-                winners = np.stack([batch_w[k] for k in sel])
-                losers = np.stack([batch_l[k] for k in sel])
-                margins = np.array([batch_m[k] for k in sel])
-                logp_w = _batched_log_prob(model, insights, winners)
-                logp_l = _batched_log_prob(model, insights, losers)
-                hinge = (Tensor(margins) - (logp_w - logp_l)).clip_min(0.0).mean()
-                # DPO's uniform-reference objective only constrains likelihood
-                # *ratios*; a small behaviour-cloning anchor on the winners
-                # pins the absolute distribution near winning recipe sets so
-                # beam decoding emits realistic densities (standard DPO+SFT
-                # mixing).
-                anchor = -(logp_w.mean()) * 0.10
-                loss = hinge + anchor
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(model.parameters(), config.grad_clip)
-                optimizer.step()
-                epoch_losses.append(float(hinge.item()))
+            epoch_losses = [
+                trainer._step(model, optimizer, *batch)[0]
+                for batch in trainer._epoch_batches(contexts, rng)
+            ]
             if verbose:
                 print(f"epoch {epoch}: loss {np.mean(epoch_losses):.4f}")
         return cls(model=model, intentions=list(intentions))

@@ -32,8 +32,8 @@ import numpy as np
 from repro.core.beam import beam_search, sample_decode
 from repro.core.dataset import OfflineDataset
 from repro.core.model import InsightAlignModel
-from repro.core.policy import sequence_log_prob, sequence_log_prob_value
-from repro.core.ppo import advantages_from_scores, ppo_loss
+from repro.core.policy import sequence_log_probs
+from repro.core.ppo import advantages_from_scores, ppo_surrogate
 from repro.core.qor import QoRIntention
 from repro.errors import TrainingError
 from repro.insights.extractor import InsightExtractor
@@ -89,6 +89,13 @@ class OnlineConfig:
     distributed: Optional["DistributedConfig"] = None  # noqa: F821
 
     def __post_init__(self) -> None:
+        # Checked at construction: the clip range is first read by the
+        # first update, after that iteration's K flow runs.
+        if self.ppo_weight > 0 and self.ppo_clip <= 0:
+            raise TrainingError(
+                f"ppo_clip must be positive when ppo_weight > 0, "
+                f"got {self.ppo_clip}"
+            )
         if self.distributed is not None:
             # Imported lazily: repro.distributed composes *this* config,
             # so an eager import would be circular.
@@ -556,13 +563,18 @@ class OnlineFineTuner:
         return picks
 
     def _update(self, model, optimizer, insight, proposals, scores, observed, rng):
-        """One update: margin-DPO over observed pairs + PPO on the batch."""
+        """One update: margin-DPO over observed pairs + PPO on the batch.
+
+        Every sequence the loss reads — pair winners, pair losers and, with
+        PPO on, the K proposals — goes through one
+        :func:`~repro.core.policy.sequence_log_probs` forward.  The loss is
+        the mean over the surviving pairs and the K PPO terms.
+        """
         cfg = self.config
-        old_log_probs = [
-            sequence_log_prob_value(model, insight, bits) for bits in proposals
-        ]
-        # --- margin-DPO on pairs drawn from everything observed so far.
-        losses = []
+        # --- margin-DPO pairs drawn from everything observed so far.
+        winners: List[Tuple[int, ...]] = []
+        losers: List[Tuple[int, ...]] = []
+        margins: List[float] = []
         if len(observed) >= 2:
             count = min(cfg.dpo_pairs_per_update, len(observed) * 2)
             for _ in range(count):
@@ -573,26 +585,33 @@ class OnlineFineTuner:
                 if score_i < score_j:
                     bits_i, bits_j = bits_j, bits_i
                     score_i, score_j = score_j, score_i
-                gap = (
-                    sequence_log_prob(model, insight, bits_i)
-                    - sequence_log_prob(model, insight, bits_j)
-                )
-                margin = cfg.lam * (score_i - score_j)
-                losses.append((Tensor(np.array(margin)) - gap).clip_min(0.0))
-        # --- PPO on the current batch.
-        if cfg.ppo_weight > 0 and len(proposals) >= 2:
-            advantages = advantages_from_scores(scores)
-            for bits, old_lp, adv in zip(proposals, old_log_probs, advantages):
-                losses.append(
-                    ppo_loss(model, insight, bits, old_lp, float(adv),
-                             clip_epsilon=cfg.ppo_clip) * cfg.ppo_weight
-                )
-        if not losses:
+                winners.append(bits_i)
+                losers.append(bits_j)
+                margins.append(cfg.lam * (score_i - score_j))
+        ppo_rows = (
+            list(proposals) if cfg.ppo_weight > 0 and len(proposals) >= 2
+            else []
+        )
+        rows = winners + losers + ppo_rows
+        if not rows:
             return
-        total = losses[0]
-        for item in losses[1:]:
-            total = total + item
-        loss = total / float(len(losses))
+        insights = np.broadcast_to(insight, (len(rows), len(insight)))
+        log_probs = sequence_log_probs(
+            model, insights, np.array(rows, dtype=np.int64)
+        )
+        pairs = len(margins)
+        gap = log_probs[:pairs] - log_probs[pairs:2 * pairs]
+        loss = (Tensor(np.array(margins)) - gap).clip_min(0.0).sum()
+        if ppo_rows:
+            # Behaviour log-probs: the policy has not stepped yet, so they
+            # are this forward's own values, detached.
+            log_new = log_probs[2 * pairs:]
+            ppo = ppo_surrogate(
+                log_new, log_new.numpy(), advantages_from_scores(scores),
+                clip_epsilon=cfg.ppo_clip,
+            )
+            loss = loss + (ppo * cfg.ppo_weight).sum()
+        loss = loss / float(pairs + len(ppo_rows))
         optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(model.parameters(), cfg.grad_clip)

@@ -1,4 +1,4 @@
-"""Unified observability: tracing, metrics and profiling for every layer.
+"""Unified observability: tracing and metrics for every layer.
 
 The reproduction's hot paths — supervised flow execution, parallel batch
 evaluation, alignment/online training, the batched serving stack — all
@@ -14,9 +14,6 @@ report into this one subsystem:
 - :mod:`repro.observability.metrics` — labelled ``Counter`` / ``Gauge`` /
   ``Histogram`` families in a process-wide :class:`MetricsRegistry`, with
   a Prometheus-text renderer and a JSON snapshot.
-- :mod:`repro.observability.profiling` — ``@profiled`` and
-  ``profile_block()`` aggregating per-call-site count/total/p50/p95 into
-  the registry.
 - :mod:`repro.observability.report` — turn a JSONL trace back into a
   human-readable report (``repro obs report``).
 
@@ -50,12 +47,6 @@ from repro.observability.metrics import (
     new_lock,
     set_registry,
 )
-from repro.observability.profiling import (
-    PROFILE_HISTOGRAM,
-    profile_block,
-    profile_stats,
-    profiled,
-)
 from repro.observability.report import (
     aggregate_spans,
     render_batch,
@@ -74,7 +65,6 @@ from repro.observability.trace import (
 
 __all__ = [
     "NOOP_SPAN",
-    "PROFILE_HISTOGRAM",
     "BoundCounter",
     "BoundGauge",
     "BoundHistogram",
@@ -94,9 +84,6 @@ __all__ = [
     "get_tracer",
     "load_trace",
     "new_lock",
-    "profile_block",
-    "profile_stats",
-    "profiled",
     "render_batch",
     "render_distributed",
     "render_supervision",

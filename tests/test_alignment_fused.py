@@ -17,10 +17,10 @@ import numpy as np
 from repro.core.alignment import (
     AlignmentConfig,
     AlignmentTrainer,
-    _batched_log_prob,
     _fused_pair_log_probs,
 )
 from repro.core.model import InsightAlignModel
+from repro.core.policy import sequence_log_probs as _batched_log_prob
 from repro.core.qor import QoRIntention
 from repro.nn.tensor import Tensor
 from repro.utils.rng import derive_rng

@@ -1,11 +1,13 @@
 """Additional online-loop tests: proposal hygiene, config, updates."""
 
 import numpy as np
+import pytest
 
 from repro.core.beam import beam_search
 from repro.core.model import InsightAlignModel
 from repro.core.online import OnlineConfig, OnlineFineTuner
 from repro.core.policy import sequence_log_prob_value
+from repro.errors import TrainingError
 from repro.insights.schema import INSIGHT_DIMS
 from repro.utils.rng import derive_rng
 
@@ -75,3 +77,15 @@ class TestOnlineUpdates:
             [(tuple([0] * 40), 1.0)], derive_rng(0, "n"),
         )
         np.testing.assert_array_equal(weights_before, model.parameters()[0].data)
+
+
+class TestPpoClipValidation:
+    def test_non_positive_clip_rejected_at_construction(self):
+        """With PPO on, a clip range <= 0 fails before any flow runs."""
+        for clip in (0.0, -0.2):
+            with pytest.raises(TrainingError, match="ppo_clip"):
+                OnlineConfig(ppo_clip=clip)
+
+    def test_clip_ignored_without_ppo(self):
+        config = OnlineConfig(ppo_weight=0.0, ppo_clip=0.0)
+        assert config.ppo_clip == 0.0

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.alignment import (
-    AlignmentConfig,
-    AlignmentTrainer,
-    _batched_log_prob,
-)
+from repro.core.alignment import AlignmentConfig, AlignmentTrainer
 from repro.core.crossval import evaluate_design, make_folds
 from repro.core.dataset import OfflineDataset
 from repro.core.model import InsightAlignModel
 from repro.core.online import OnlineConfig, OnlineFineTuner
 from repro.core.policy import sequence_log_prob_value
+from repro.core.policy import sequence_log_probs as _batched_log_prob
 from repro.core.recommender import InsightAlign
 from repro.errors import TrainingError
 from repro.insights.schema import INSIGHT_DIMS

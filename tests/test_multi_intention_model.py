@@ -8,6 +8,7 @@ from repro.core.multi_intention import (
     conditioned_insight,
 )
 from repro.core.qor import QoRIntention
+from repro.errors import ModelError
 from repro.insights.schema import INSIGHT_DIMS
 
 
@@ -73,3 +74,21 @@ class TestConditionedModel:
     def test_two_memory_tokens(self, model, packed):
         memory = model._memory(packed.reshape(1, -1))
         assert memory.shape == (1, 2, model.dim)
+
+
+class TestInputChecks:
+    """The shared forward's typed checks cover the packed model too."""
+
+    def test_non_binary_decisions_rejected(self, model, packed):
+        with pytest.raises(ModelError):
+            model.logits(packed, np.full(40, 2))
+
+    def test_short_decisions_rejected(self, model, packed):
+        with pytest.raises(ModelError):
+            model.logits(packed, np.zeros(20, dtype=np.int64))
+
+    def test_unpacked_batch_rejected(self, model):
+        with pytest.raises(ModelError):
+            model.batched_logits(
+                np.zeros((3, INSIGHT_DIMS)), np.zeros((3, 40), dtype=np.int64)
+            )

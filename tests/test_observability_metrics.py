@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry, label families, and profiling."""
+"""Unit tests for the metrics registry and label families."""
 
 import json
 import threading
@@ -10,14 +10,9 @@ from repro.observability import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PROFILE_HISTOGRAM,
     get_registry,
-    profile_block,
-    profile_stats,
-    profiled,
     set_registry,
 )
-from repro.runtime.clock import VirtualClock
 
 
 class TestCounter:
@@ -156,43 +151,3 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert counter.value == 8000
-
-
-class TestProfiling:
-    def test_profiled_decorator_aggregates_per_site(self):
-        registry = MetricsRegistry()
-        clock = VirtualClock()
-
-        @profiled(name="work", registry=registry, clock=clock)
-        def work():
-            clock.advance(0.25)
-            return 42
-
-        assert work() == 42
-        assert work() == 42
-        stats = profile_stats("work", registry=registry)
-        assert stats["count"] == 2
-        assert stats["total"] == pytest.approx(0.5)
-        assert stats["p50"] == pytest.approx(0.25)
-
-    def test_profiled_default_site_name(self):
-        registry = MetricsRegistry()
-
-        @profiled(registry=registry)
-        def named_function():
-            return None
-
-        named_function()
-        site = named_function.__profiled_site__
-        assert site.endswith("named_function")
-        histogram = registry.get(PROFILE_HISTOGRAM)
-        assert histogram.summary(site=site)["count"] == 1
-
-    def test_profile_block(self):
-        registry = MetricsRegistry()
-        clock = VirtualClock()
-        with profile_block("phase", registry=registry, clock=clock):
-            clock.advance(1.5)
-        stats = profile_stats("phase", registry=registry)
-        assert stats["count"] == 1
-        assert stats["p95"] == pytest.approx(1.5)
