@@ -9,6 +9,9 @@ every request is one row of an incremental KV-cached frontier, and each
 step is a single batched O(dim^2)-per-row update instead of a full-sequence
 tensor-graph forward.
 
+Selection is one ``np.lexsort`` per step over int64 prefix packs (hence
+:data:`MAX_RECIPES`); the frontier stays request-major, then by rank.
+
 Equivalence: for each request the returned candidates are the same recipe
 sets with the same cumulative log probabilities (within floating-point
 accumulation noise, < 1e-9) as the reference per-beam loop, in the same
@@ -28,14 +31,18 @@ from repro.errors import ModelError
 from repro.serving.engine import InferenceEngine, step_log_probs
 
 
+# One int64 pack bit per recipe; the packs and their negations stay in range.
+MAX_RECIPES = 62
+
+
 def _as_insight_matrix(model: InsightAlignModel, insights) -> np.ndarray:
     insights = np.asarray(insights, dtype=np.float64)
     if insights.ndim == 1:
         insights = insights.reshape(1, -1)
-    if insights.ndim != 2 or insights.shape[1] != model.insight_dims:
-        raise ModelError(
-            f"insights shape {insights.shape}, expected (R, {model.insight_dims})"
-        )
+    if (insights.ndim != 2 or insights.shape[1] != model.insight_dims
+            or not np.isfinite(insights).all()):
+        raise ModelError(f"insights of shape {insights.shape}, expected finite "
+                         f"values of shape (R, {model.insight_dims})")
     return insights
 
 
@@ -47,7 +54,7 @@ def batched_beam_search(
     """Beam search for many requests with one fused frontier step per t.
 
     Args:
-        model: The aligned policy.
+        model: The aligned policy (at most :data:`MAX_RECIPES` recipes).
         insights: ``(R, insight_dims)`` — one insight vector per request
             (a single 1-D vector is treated as ``R = 1``).
         beam_widths: Beam width per request — a scalar applied to all
@@ -68,62 +75,41 @@ def batched_beam_search(
         raise ValueError(f"{len(widths)} beam widths for {requests} requests")
     if any(w < 1 for w in widths):
         raise ValueError(f"beam widths must be >= 1, got {widths}")
+    n = model.n_recipes
+    if n > MAX_RECIPES:
+        raise ModelError(f"beam search packs at most {MAX_RECIPES} recipes, got {n}")
     if requests == 0:
         return []
 
-    n = model.n_recipes
     engine = InferenceEngine(model)
-    # Flat frontier: row b is one beam; ``owner[b]`` is its request index.
-    state = engine.start(insights)
+    state = engine.start(insights, capacity=sum(min(w, 1 << n) for w in widths))
+    limits = np.asarray(widths, dtype=np.intp)
+    # Row b is one beam of request ``owner[b]``; ``packs[b]`` holds its
+    # prefix bits big-endian, so descending packs are descending bit order.
     owner = np.arange(requests, dtype=np.intp)
+    scores = np.zeros(requests)
+    packs = np.zeros(requests, dtype=np.int64)
     tokens = np.full(requests, SOS_TOKEN, dtype=np.int64)
-    prefixes = np.zeros((requests, n), dtype=np.int64)
-    scores = np.zeros(requests, dtype=np.float64)
-    # Prefix bits packed big-endian (step 0 most significant) so that
-    # descending pack order == descending lexicographic bit order — the
-    # canonical tie-break.  Python ints, so any n works.
-    packs: List[int] = [0] * requests
-
-    for t in range(n):
-        logits = engine.step(state, tokens)
-        log_p1, log_p0 = step_log_probs(logits)
-        sel_scores = scores + log_p1
-        skip_scores = scores + log_p0
-
-        parents: List[int] = []
-        new_owner: List[int] = []
-        new_rows: List[np.ndarray] = []
-        new_scores: List[float] = []
-        new_packs: List[int] = []
-        new_tokens: List[int] = []
-        for r in range(requests):
-            rows = np.flatnonzero(owner == r)
-            candidates = []
-            for b in rows:
-                pack = packs[b]
-                candidates.append((sel_scores[b], pack << 1 | 1, b, 1))
-                candidates.append((skip_scores[b], pack << 1, b, 0))
-            candidates.sort(key=lambda c: (-c[0], -c[1]))
-            for score, pack, b, bit in candidates[: widths[r]]:
-                row = prefixes[b].copy()
-                row[t] = bit
-                parents.append(b)
-                new_owner.append(r)
-                new_rows.append(row)
-                new_scores.append(float(score))
-                new_packs.append(pack)
-                new_tokens.append(bit)
-        state = state.gather(parents)
-        owner = np.asarray(new_owner, dtype=np.intp)
-        prefixes = np.asarray(new_rows, dtype=np.int64)
-        scores = np.asarray(new_scores, dtype=np.float64)
-        packs = new_packs
+    for _ in range(n):
+        log_p1, log_p0 = step_log_probs(engine.step(state, tokens))
+        # Candidate b selects this step's recipe on beam b; rows + b skips it.
+        cand_owner = np.concatenate((owner, owner))
+        cand_scores = np.concatenate((scores + log_p1, scores + log_p0))
+        cand_packs = np.concatenate((packs << 1 | 1, packs << 1))
+        # Packs are distinct within a request, so no two candidates tie.
+        order = np.lexsort((-cand_packs, -cand_scores, cand_owner))
+        ranked = cand_owner[order]
+        rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+        keep = order[rank < limits[ranked]]
+        state.gather(keep % len(owner))
+        owner, scores, packs = cand_owner[keep], cand_scores[keep], cand_packs[keep]
         # The input token at step t+1 is the decision taken at step t.
-        tokens = np.asarray(new_tokens, dtype=np.int64)
+        tokens = packs & 1
 
+    bits = (packs[:, None] >> np.arange(n - 1, -1, -1)) & 1
     results: List[List[tuple]] = [[] for _ in range(requests)]
-    for b, r in enumerate(owner):
-        results[r].append((tuple(int(x) for x in prefixes[b]), float(scores[b])))
+    for r, row, score in zip(owner.tolist(), bits.tolist(), scores.tolist()):
+        results[r].append((tuple(row), score))
     return results
 
 

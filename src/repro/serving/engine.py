@@ -31,6 +31,10 @@ end-to-end sequence log-probs at 1e-9).
 Weights are captured as *views* of the model's parameter arrays at
 construction — an engine is cheap to build (no copies) and is rebuilt by
 the service whenever the model registry hot-swaps.
+
+Each KV cache is one buffer per decode, sized once to the frontier's
+largest row count; the frontier itself is never padded to it, because
+BLAS results for a row depend on the matmul's row count.
 """
 
 from __future__ import annotations
@@ -43,38 +47,39 @@ from repro.core.model import InsightAlignModel
 class DecodeState:
     """Per-frontier-row incremental state: self-attention KV + constants.
 
-    ``rows`` tracks beam-search branching: ``gather(parents)`` reorders the
-    cache so row ``i`` continues the beam that survived selection.
+    Row ``i`` of the frontier is row ``i`` of each ``(capacity, n, dim)``
+    KV buffer; ``gather`` rewrites the live positions ``< t`` in place.
     """
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray,
+    def __init__(self, keys: np.ndarray, values: np.ndarray, rows: int,
                  cross: np.ndarray = None, cross_k: np.ndarray = None,
-                 cross_v: np.ndarray = None, t: int = 0) -> None:
-        self.keys = keys        # (B, n, dim), positions < t are live
-        self.values = values    # (B, n, dim)
+                 cross_v: np.ndarray = None) -> None:
+        self._buffers = (keys, values)
+        self.keys = keys[:rows]        # (B, n, dim), positions < t are live
+        self.values = values[:rows]    # (B, n, dim)
         # Single-token memory: ``cross`` is the folded (B, dim) constant and
         # cross_k/cross_v are None.  Multi-token memory: ``cross`` is None
         # and cross_k/cross_v hold the (B, M, dim) projected memory.
         self.cross = cross
         self.cross_k = cross_k
         self.cross_v = cross_v
-        self.t = t
+        self.t = 0
 
-    @property
-    def rows(self) -> int:
-        return self.keys.shape[0]
-
-    def gather(self, parents) -> "DecodeState":
-        """Reorder/duplicate rows after beam selection (copying caches)."""
+    def gather(self, parents) -> None:
+        """Make row ``i`` continue row ``parents[i]``, in ``parents``' order."""
         parents = np.asarray(parents, dtype=np.intp)
-        return DecodeState(
-            keys=self.keys[parents],
-            values=self.values[parents],
-            cross=None if self.cross is None else self.cross[parents],
-            cross_k=None if self.cross_k is None else self.cross_k[parents],
-            cross_v=None if self.cross_v is None else self.cross_v[parents],
-            t=self.t,
-        )
+        rows, t = len(parents), self.t
+        keys, values = self._buffers
+        if rows > keys.shape[0]:
+            raise ValueError(f"{rows} rows exceed capacity {keys.shape[0]}")
+        # Advanced indexing copies the parents' prefixes out before the
+        # write, so no row is overwritten while it is still to be read.
+        keys[:rows, :t] = self.keys[parents, :t]
+        values[:rows, :t] = self.values[parents, :t]
+        self.keys, self.values = keys[:rows], values[:rows]
+        self.cross = None if self.cross is None else self.cross[parents]
+        self.cross_k = None if self.cross_k is None else self.cross_k[parents]
+        self.cross_v = None if self.cross_v is None else self.cross_v[parents]
 
 
 class InferenceEngine:
@@ -115,9 +120,11 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _layer_norm(x: np.ndarray, gamma, beta, epsilon) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
+        # ``ndarray.mean``'s arithmetic without its Python wrapper.
+        count = x.shape[-1]
+        mean = np.add.reduce(x, axis=-1, keepdims=True) / count
         centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
+        variance = np.add.reduce(centered * centered, -1, keepdims=True) / count
         return (centered * ((variance + epsilon) ** -0.5)) * gamma + beta
 
     def cross_constants(self, insights: np.ndarray) -> np.ndarray:
@@ -128,29 +135,24 @@ class InferenceEngine:
         projections cancel out of the computation entirely.  Only valid for
         single-token-memory models.
         """
-        memory = self.model.memory_tokens(np.asarray(insights, dtype=np.float64))
-        if memory.shape[1] != 1:
-            raise ValueError(
-                f"{memory.shape[1]}-token memory does not constant-fold"
-            )
-        return (memory[:, 0] @ self.cross_wv) @ self.cross_wo + self.cross_bo
+        cross = self.start(insights).cross
+        if cross is None:
+            raise ValueError("multi-token memory does not constant-fold")
+        return cross
 
-    def start(self, insights: np.ndarray) -> DecodeState:
-        """Fresh state with one frontier row per request."""
+    def start(self, insights: np.ndarray, capacity: int = 0) -> DecodeState:
+        """Fresh state with one frontier row per request; its KV buffers
+        hold ``capacity`` rows, the most a later ``gather`` may produce."""
         insights = np.asarray(insights, dtype=np.float64)
         rows = insights.shape[0]
-        keys = np.zeros((rows, self.n, self.dim))
-        values = np.zeros((rows, self.n, self.dim))
+        shape = (max(rows, capacity), self.n, self.dim)
+        keys, values = np.empty(shape), np.empty(shape)
         memory = self.model.memory_tokens(insights)
         if memory.shape[1] == 1:
             cross = (memory[:, 0] @ self.cross_wv) @ self.cross_wo + self.cross_bo
-            return DecodeState(keys=keys, values=values, cross=cross)
-        return DecodeState(
-            keys=keys,
-            values=values,
-            cross_k=memory @ self.cross_wk,
-            cross_v=memory @ self.cross_wv,
-        )
+            return DecodeState(keys, values, rows, cross=cross)
+        return DecodeState(keys, values, rows, cross_k=memory @ self.cross_wk,
+                           cross_v=memory @ self.cross_wv)
 
     def step(self, state: DecodeState, tokens: np.ndarray) -> np.ndarray:
         """Advance every row one position; returns the step's logits.

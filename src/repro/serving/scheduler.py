@@ -74,6 +74,10 @@ class ServingConfig:
             raise ServingError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
+        if self.cache_capacity < 0:
+            raise ServingError(
+                f"cache_capacity must be >= 0, got {self.cache_capacity}"
+            )
         if self.decode_latency_s < 0:
             raise ServingError(
                 f"decode_latency_s must be >= 0, got {self.decode_latency_s}"

@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from repro.core.recommender import InsightAlign, Recommendation
+from repro.errors import ServingError
 from repro.observability import get_tracer
 from repro.serving.batch_decode import batched_beam_search
 from repro.serving.cache import ResultCache
@@ -104,7 +105,8 @@ class RecommendationService:
         deadline_s: Optional[float] = None,
         model_version: Optional[str] = None,
     ) -> Ticket:
-        """Enqueue a request; raises ``QueueFullError`` under overload.
+        """Enqueue a request; raises ``QueueFullError`` under overload, and
+        ``ServingError`` for an insight the resolved model cannot decode.
 
         Args:
             insight: The design-insight vector.
@@ -118,12 +120,18 @@ class RecommendationService:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        insight = np.array(insight, dtype=np.float64)
+        version = model_version or self.registry.active_version
+        dims = self.registry.resolve(version).model.insight_dims
+        if insight.shape != (dims,) or not np.isfinite(insight).all():
+            raise ServingError(f"insight of shape {insight.shape} is not "
+                               f"{dims} finite values for model {version!r}")
         now = self.clock()
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         ticket = Ticket(
             request_id=self._next_id,
-            insight=np.asarray(insight, dtype=np.float64).copy(),
+            insight=insight,
             k=int(k),
             submitted_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,

@@ -148,6 +148,57 @@ class TestBackpressure:
         assert ticket.status is RequestStatus.COMPLETED
 
 
+class TestMalformedRequests:
+    """A malformed insight is refused at submit, before queueing, so it can
+    never strand the well-formed requests of its micro-batch."""
+
+    def test_wrong_length_insight_refused_before_queueing(
+        self, recommender, clock
+    ):
+        service = make_service(recommender, clock)
+        good = [service.submit(v, k=2) for v in insight_vectors(2)]
+        with pytest.raises(ServingError):
+            service.submit(np.zeros(INSIGHT_DIMS - 1), k=2)
+        assert service.queue_depth == 2
+        assert service.flush() == 2
+        assert all(t.status is RequestStatus.COMPLETED for t in good)
+
+    @pytest.mark.parametrize(
+        "insight",
+        [np.zeros((1, INSIGHT_DIMS)), np.full(INSIGHT_DIMS, np.nan),
+         np.full(INSIGHT_DIMS, -np.inf)],
+        ids=["2-d", "nan", "inf"],
+    )
+    def test_malformed_insight_refused(self, recommender, clock, insight):
+        service = make_service(recommender, clock)
+        with pytest.raises(ServingError):
+            service.submit(insight)
+        assert service.queue_depth == 0
+        assert service.stats()["requests"]["submitted"] == 0
+
+    def test_length_checked_against_the_resolved_version(
+        self, recommender, clock
+    ):
+        from repro.core.multi_intention import IntentionConditionedModel
+
+        service = make_service(recommender, clock)
+        wide = IntentionConditionedModel(n_recipes=8, dim=16, seed=4)
+        service.register_model("wide", InsightAlign(wide))
+        with pytest.raises(ServingError):
+            service.submit(insight_vectors(1)[0], model_version="wide")
+        insight = np.random.default_rng(0).normal(size=wide.insight_dims)
+        with pytest.raises(ServingError):
+            service.submit(insight)          # the active model is narrower
+        ticket = service.submit(insight, k=2, model_version="wide")
+        service.flush()
+        assert ticket.status is RequestStatus.COMPLETED
+
+
+def test_negative_cache_capacity_is_a_serving_error():
+    with pytest.raises(ServingError):
+        ServingConfig(cache_capacity=-1)
+
+
 class TestSingleRequestPath:
     def test_single_request_matches_direct_recommend(self, recommender, clock):
         """A batch of one must not degrade: identical recipe sets, log-probs
