@@ -61,10 +61,6 @@ class CrossValResult:
                 return row
         raise KeyError(f"no evaluation row for {design}")
 
-    @property
-    def mean_win_pct(self) -> float:
-        return float(np.mean([r.win_pct for r in self.rows]))
-
 
 def make_folds(
     dataset: OfflineDataset, k: int = 4, seed: int = 0

@@ -24,7 +24,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.observability.trace import Tracer, set_tracer
 from repro.runtime.session import FlowJob, FlowSession, RuntimeConfig
 from repro.runtime.supervisor import Chaos, RemoteError
 from repro.utils.rng import derive_rng
@@ -100,14 +99,13 @@ def _actor_main(actor_id: int, spawn: int, task_queue, result_conn,
     - ``("sync", version, model_state, insight, seen)`` — install new
       weights/insight/dedup state broadcast by the learner.
 
-    Runs trace-quiet (several processes appending to one JSONL trace
-    would interleave); the learner emits the ``online.actor`` spans.
+    Like every supervised member it starts trace-quiet, so its spans are
+    dropped; the learner emits the ``online.actor`` spans.
     Chaos rehearsal: with ``kill_rate`` set, each work command first
     draws from a ``(kill_seed, "actor-kill", actor_id, spawn)`` stream and
     may ``os._exit`` — the hard, mid-task death the supervised pool
     exists to absorb.
     """
-    set_tracer(Tracer(exporter=None, enabled=False))
     chaos = Chaos(spec.kill_rate, spec.kill_seed, "actor-kill", actor_id,
                   spawn, KILL_EXIT_CODE)
     session = FlowSession(spec.runtime, flow_fn=spec.flow_fn)

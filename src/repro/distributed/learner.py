@@ -156,14 +156,11 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
     def _make_spec(self, design, dataset_seed: int,
                    model_shape: Optional[Tuple[int, int, int]] = None
                    ) -> ActorSpec:
-        # Actors evaluate one job at a time in-process (workers=1) and
-        # trace-quiet (concurrent writers would interleave the JSONL
-        # trace); everything else — policy, deadlines, cache, fault plan,
-        # seed — is the learner's own runtime, so per-index streams match
-        # the serial loop exactly.
-        runtime = self.config.resolved_runtime().replace(
-            workers=1, trace=False
-        )
+        # Actors evaluate one job at a time in-process (workers=1);
+        # everything else — policy, deadlines, cache, fault plan, seed — is
+        # the learner's own runtime, so per-index streams match the serial
+        # loop exactly.
+        runtime = self.config.resolved_runtime().replace(workers=1)
         return ActorSpec(
             runtime=runtime,
             design=str(design),

@@ -31,7 +31,7 @@ Index spaces:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -365,15 +365,6 @@ class LaneState:
         self.energy = energy
         self.cap_ext = cap_ext
 
-    def resize_cell(self, name: str, cell_type) -> None:
-        """Record a sizing move (the netlist cell is updated by the caller)."""
-        i = self.design.index[name]
-        self.intrinsic[i] = cell_type.intrinsic_delay_ps
-        self.drive_res[i] = cell_type.drive_res_kohm
-        self.leakage[i] = cell_type.leakage_nw
-        self.energy[i] = cell_type.internal_energy_fj
-        self.cap_ext[i] = cell_type.input_cap_ff
-
     # -- wire parasitics ---------------------------------------------------
     def refresh_wire_state(self) -> None:
         """Re-gather wire cap/delay from the netlist's net objects."""
@@ -385,16 +376,6 @@ class LaneState:
             wd[i] = net.wire_delay_ps
         self.wire_cap = wc
         self.wire_delay = wd
-
-    def set_wire_state(
-        self, wire_cap: np.ndarray, wire_delay: np.ndarray
-    ) -> None:
-        """Install wire arrays computed by a batch kernel (pad slot kept 0)."""
-        d = self.design
-        self.wire_cap = np.zeros(d.N + 1, dtype=np.float64)
-        self.wire_delay = np.zeros(d.N + 1, dtype=np.float64)
-        self.wire_cap[: d.N] = wire_cap
-        self.wire_delay[: d.N] = wire_delay
 
     # -- derived quantities -------------------------------------------------
     def loads(self) -> np.ndarray:

@@ -6,8 +6,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import NetlistError
 from repro.netlist.cell import CellInstance
 from repro.netlist.net import Net
@@ -90,9 +88,6 @@ class Netlist:
     def net_of_output(self, cell_name: str) -> Optional[Net]:
         cell = self.cells[cell_name]
         return self.nets[cell.output_net] if cell.output_net else None
-
-    def fanout_distribution(self) -> np.ndarray:
-        return np.array([net.fanout for net in self.nets.values()], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Graph traversal

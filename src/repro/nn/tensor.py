@@ -90,9 +90,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph machinery
     # ------------------------------------------------------------------
-    def _track(self) -> bool:
-        return self.requires_grad
-
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor; scalar outputs default grad=1."""
         if grad is None:

@@ -396,10 +396,6 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
-    def unregister(self, name: str) -> bool:
-        with self._lock:
-            return self._metrics.pop(name, None) is not None
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict view of every family: JSON-ready, detached."""

@@ -1,6 +1,5 @@
 """Power analysis: leakage, dynamic (internal + switching), clock network."""
 
 from repro.power.analysis import PowerReport, analyze_power
-from repro.power.irdrop import IrDropReport, analyze_ir_drop
 
-__all__ = ["PowerReport", "analyze_power", "IrDropReport", "analyze_ir_drop"]
+__all__ = ["PowerReport", "analyze_power"]

@@ -12,8 +12,8 @@ branch, while the cross-validation loop still called ``run_flow`` raw.
 
 :class:`FlowSession` is the one composition point.  It owns the executor
 policy (deadlines, bounded retries, backoff), the worker pool, the QoR
-cache, the fault plan and the trace toggle — all declared up front in a
-typed, validated :class:`RuntimeConfig` — and exposes a batch-first API:
+cache and the fault plan — all declared up front in a typed, validated
+:class:`RuntimeConfig` — and exposes a batch-first API:
 
 ``session.evaluate(jobs)``
     Supervised batch; one :class:`FlowOutcome` per job, in submission
@@ -44,14 +44,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import RuntimeConfigError
 from repro.flow.parameters import FlowParameters
 from repro.flow.result import FlowResult
-from repro.observability.trace import Tracer, set_tracer
 from repro.runtime.executor import FlowExecutor, FlowRunReport, RetryPolicy
 from repro.runtime.parallel import (
     DEFAULT_BATCH_SIZE,
@@ -93,10 +91,6 @@ class RuntimeConfig:
         fault_plan: Optional seeded
             :class:`~repro.runtime.parallel.FaultPlan` rehearsing
             failures with a job-index-keyed schedule.
-        trace: When ``False`` the session runs its batches under a
-            disabled tracer, so a globally-enabled trace skips flow spans
-            and flow metrics from this session (results are bit-identical
-            either way; instrumentation never consumes RNG).
         max_respawns: Worker deaths the supervised pool absorbs (each one
             respawning a warm replacement worker) before it stops
             replacing workers and degrades.
@@ -128,7 +122,6 @@ class RuntimeConfig:
     min_snapshots: Optional[int] = None
     seed: int = 0
     fault_plan: Optional[FaultPlan] = None
-    trace: bool = True
     max_respawns: int = 8
     poison_retries: int = 1
     watchdog_s: Optional[float] = None
@@ -178,10 +171,6 @@ class RuntimeConfig:
                 f"fault_plan must be a FaultPlan or None, got "
                 f"{type(self.fault_plan).__name__}"
             )
-        if not isinstance(self.trace, bool):
-            raise RuntimeConfigError(
-                f"trace must be a bool, got {type(self.trace).__name__}"
-            )
         for name in ("max_respawns", "poison_retries"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
@@ -212,11 +201,6 @@ class RuntimeConfig:
     def replace(self, **overrides) -> "RuntimeConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return dataclasses.replace(self, **overrides)
-
-
-# A permanently-disabled tracer, installed globally for the duration of a
-# batch when the session's config says ``trace=False``.
-_QUIET_TRACER = Tracer(exporter=None, enabled=False)
 
 
 class FlowSession:
@@ -297,19 +281,6 @@ class FlowSession:
             )
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def _traced(self) -> Iterator[None]:
-        """Silence span/metric emission for the block when trace=False."""
-        if self.config.trace:
-            yield
-            return
-        previous = set_tracer(_QUIET_TRACER)
-        try:
-            yield
-        finally:
-            set_tracer(previous)
-
-    # ------------------------------------------------------------------
     def evaluate(self, jobs: Sequence) -> List[FlowOutcome]:
         """Supervised batch evaluation, outcomes in submission order.
 
@@ -319,16 +290,15 @@ class FlowSession:
         :class:`~repro.errors.ReproError`\\ s — configuration bugs — still
         propagate immediately.
         """
-        with self._traced():
-            if self._injected is not None:
-                coerced = [ParallelFlowExecutor._coerce(job) for job in jobs]
-                return [
-                    self._injected.try_execute(
-                        job.design, job.params, seed=job.seed
-                    )
-                    for job in coerced
-                ]
-            return self._parallel.run_batch(jobs)
+        if self._injected is not None:
+            coerced = [ParallelFlowExecutor._coerce(job) for job in jobs]
+            return [
+                self._injected.try_execute(
+                    job.design, job.params, seed=job.seed
+                )
+                for job in coerced
+            ]
+        return self._parallel.run_batch(jobs)
 
     def evaluate_at(
         self, job, index: int = 0, dispatch: int = 0
@@ -344,13 +314,12 @@ class FlowSession:
         the fault-injection stream — see
         :meth:`ParallelFlowExecutor.run_at`.
         """
-        with self._traced():
-            if self._injected is not None:
-                job = ParallelFlowExecutor._coerce(job)
-                return self._injected.try_execute(
-                    job.design, job.params, seed=job.seed
-                )
-            return self._parallel.run_at(job, index=index, dispatch=dispatch)
+        if self._injected is not None:
+            job = ParallelFlowExecutor._coerce(job)
+            return self._injected.try_execute(
+                job.design, job.params, seed=job.seed
+            )
+        return self._parallel.run_at(job, index=index, dispatch=dispatch)
 
     def evaluate_strict(self, jobs: Sequence) -> List[FlowResult]:
         """All-or-nothing batch: results in submission order, or the
@@ -393,11 +362,8 @@ class FlowSession:
     def stats(self) -> Dict[str, object]:
         """Runtime counters: workers, jobs/batches run, cache occupancy."""
         if self._parallel is not None:
-            out = self._parallel.stats()
-        else:
-            out = {"workers": 1, "pool_live": False, "injected": True}
-        out["trace"] = self.config.trace
-        return out
+            return self._parallel.stats()
+        return {"workers": 1, "pool_live": False, "injected": True}
 
     def close(self) -> None:
         """Release the worker pool, if one was started (idempotent)."""

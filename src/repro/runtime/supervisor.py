@@ -31,7 +31,8 @@ Clients keep only their policy: what a command means, what to do with
 lost work, and whether a degraded pool finishes in-process or raises.
 A member's main is a module-level function called as ``target(member_id,
 spawn, commands, results, *args)``; it serves ``commands.get()`` until
-the ``None`` sentinel and answers through ``results.send``.
+the ``None`` sentinel and answers through ``results.send``.  Every member
+starts trace-quiet (:func:`_member_main`), so its spans are dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import os
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.observability import get_registry
+from repro.observability import Tracer, get_registry, set_tracer
 from repro.utils.rng import derive_rng
 
 _METHODS = multiprocessing.get_all_start_methods()
@@ -59,6 +60,17 @@ SHUTDOWN_S = 5.0
 # How long a member whose pipe reached EOF may take to exit before it is
 # killed.
 _EXIT_GRACE_S = 1.0
+
+
+def _member_main(target: Callable, *args) -> None:
+    """Every member's entry point: install a disabled tracer, then run.
+
+    A forked member inherits the parent's tracer and its open JSONL
+    handle; writing through them would interleave the member's spans with
+    the parent's under colliding span ids.
+    """
+    set_tracer(Tracer(exporter=None, enabled=False))
+    target(*args)
 
 
 class RemoteError:
@@ -189,8 +201,9 @@ class SupervisedPool:
         commands = self._ctx.SimpleQueue()
         results, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=self._target,
-            args=(member_id, spawn, commands, sender) + tuple(self._args()),
+            target=_member_main,
+            args=(self._target, member_id, spawn, commands, sender)
+            + tuple(self._args()),
             daemon=True,
         )
         process.start()

@@ -59,7 +59,6 @@ from repro.errors import (
     ServingError,
 )
 from repro.observability import get_registry, get_tracer
-from repro.observability.trace import Tracer, set_tracer
 from repro.runtime.supervisor import Chaos, Member, RemoteError, SupervisedPool
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import ResultCache, quantize_insight
@@ -207,9 +206,9 @@ def _replica_main(replica_id: int, spawn: int, cmd_queue, result_conn,
     Chaos rehearsal: with ``kill_rate`` set, each serve command first
     draws from a ``(kill_seed, "replica-kill", replica_id, spawn)`` stream
     and may ``os._exit`` — the hard mid-flight death the supervised pool
-    absorbs.  Runs trace-quiet (the gateway emits the cluster spans).
+    absorbs.  Like every supervised member it starts trace-quiet; the
+    gateway emits the cluster spans.
     """
-    set_tracer(Tracer(exporter=None, enabled=False))
     chaos = Chaos(spec.kill_rate, spec.kill_seed, "replica-kill",
                   replica_id, spawn, KILL_EXIT_CODE)
     registry = ModelRegistry()

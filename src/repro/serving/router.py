@@ -143,10 +143,6 @@ class ConsistentHashRouter(Router):
         self._ring = [point for point, _ in points]
         self._owner = [owner for _, owner in points]
 
-    def owner_of(self, key: bytes) -> int:
-        """The ring owner ignoring liveness (exposed for affinity tests)."""
-        return self._pick(key, (), list(range(self.replicas)))
-
     def _pick(self, key: bytes, loads: Sequence[int],
               live: List[int]) -> int:
         live_set = set(live)

@@ -8,22 +8,12 @@ harmful-skew detection — both Table I insights).
 """
 
 from repro.timing.constraints import TimingConstraints, default_constraints
-from repro.timing.corners import (
-    Corner,
-    DEFAULT_CORNERS,
-    MultiCornerReport,
-    run_multi_corner_sta,
-)
 from repro.timing.graph import TimingGraph, build_timing_graph
 from repro.timing.sta import TimingReport, run_sta
 
 __all__ = [
     "TimingConstraints",
     "default_constraints",
-    "Corner",
-    "DEFAULT_CORNERS",
-    "MultiCornerReport",
-    "run_multi_corner_sta",
     "TimingGraph",
     "build_timing_graph",
     "TimingReport",

@@ -52,14 +52,6 @@ class TimingReport:
     # Per-cell worst setup slack (arrival vs. required), for the optimizer.
     cell_slack_ps: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def setup_met(self) -> bool:
-        return self.wns_ps >= 0.0
-
-    @property
-    def hold_met(self) -> bool:
-        return self.hold_wns_ps >= 0.0
-
     def slack_histogram(self, bins: int = 10) -> Tuple[np.ndarray, np.ndarray]:
         slacks = np.array(list(self.endpoint_slack_ps.values()))
         return np.histogram(slacks, bins=bins)

@@ -5,11 +5,13 @@ bit-identical)."""
 import numpy as np
 import pytest
 
+from conftest import tiny_profile
 from repro.core.alignment import AlignmentConfig, AlignmentTrainer
 from repro.core.dataset import DataPoint, OfflineDataset
 from repro.core.model import InsightAlignModel
 from repro.core.online import OnlineConfig, OnlineFineTuner
 from repro.core.recommender import InsightAlign
+from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.result import FlowResult
 from repro.flow.runner import REQUIRED_QOR_KEYS
 from repro.insights.extractor import InsightVector
@@ -19,12 +21,15 @@ from repro.observability import (
     MetricsRegistry,
     Tracer,
     get_registry,
+    load_trace,
     set_registry,
     set_tracer,
+    tracing,
 )
 from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import FlowExecutor, RetryPolicy
 from repro.runtime.faults import FaultInjector, FaultKind
+from repro.runtime.session import FlowJob, FlowSession, RuntimeConfig
 from repro.serving import RecommendationService, ServingConfig
 
 
@@ -121,6 +126,27 @@ class TestFlowExecutorWiring:
         assert (
             registry.counter("flow_runs_total").value_of(status="failed") == 1
         )
+
+
+class TestPoolWorkerTracing:
+    def test_worker_spans_never_reach_the_parent_trace(self, tmp_path):
+        """Forked flow workers start trace-quiet: the parent's trace file
+        holds unique span ids, and every parent link resolves in it."""
+        jobs = [
+            FlowJob(tiny_profile(),
+                    FlowParameters(opt=OptParams(vt_swap_bias=b)), 0)
+            for b in (0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
+        ]
+        path = tmp_path / "trace.jsonl"
+        with tracing(path):
+            with FlowSession(RuntimeConfig(workers=2)) as session:
+                assert all(o.ok for o in session.evaluate(jobs))
+        spans = load_trace(path).spans
+        ids = [s.span_id for s in spans]
+        assert len(ids) == len(set(ids)), sorted(
+            (s.span_id, s.name) for s in spans
+        )
+        assert all(s.parent_id is None or s.parent_id in ids for s in spans)
 
 
 class TestServingWiring:

@@ -28,7 +28,6 @@ from repro.flow.runner import (
 from repro.observability import (
     InMemoryExporter,
     Tracer,
-    get_tracer,
     set_tracer,
 )
 from repro.runtime import (
@@ -61,7 +60,6 @@ class TestRuntimeConfigValidation:
         dict(seed="zero"),
         dict(seed=False),
         dict(fault_plan="crash-everything"),
-        dict(trace="yes"),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(RuntimeConfigError):
@@ -70,7 +68,6 @@ class TestRuntimeConfigValidation:
     def test_defaults_are_valid_and_frozen(self):
         config = RuntimeConfig()
         assert config.workers == 1
-        assert config.trace is True
         with pytest.raises(AttributeError):
             config.workers = 2
 
@@ -89,7 +86,6 @@ class TestRuntimeConfigValidation:
             min_snapshots=3,
             seed=7,
             fault_plan=FaultPlan(rate=0.5),
-            trace=False,
         )
         assert config.policy.max_attempts == 2
 
@@ -163,7 +159,6 @@ class TestFlowSessionComposition:
             stats = session.stats()
         assert stats["workers"] == 1
         assert stats["jobs_run"] == 1
-        assert stats["trace"] is True
         injected = FlowSession(RuntimeConfig(), executor=FlowExecutor())
         assert injected.stats()["injected"] is True
         injected.close()  # no-op: nothing to release
@@ -182,20 +177,22 @@ class TestTraceToggle:
         return exporter.records()
 
     def test_trace_on_emits_flow_spans(self):
-        spans = self._spans_during(RuntimeConfig(trace=True))
+        spans = self._spans_during(RuntimeConfig())
         assert {s.name for s in spans} >= {"flow.run", "flow.batch"}
-
-    def test_trace_off_is_silent_and_restores_tracer(self):
-        before = get_tracer()
-        assert self._spans_during(RuntimeConfig(trace=False)) == []
-        assert get_tracer() is before
 
     def test_results_identical_either_way(self):
         profile = tiny_profile()
         outcomes = []
-        for trace in (True, False):
-            with FlowSession(RuntimeConfig(trace=trace)) as session:
-                outcomes.append(session.execute(profile, FlowParameters(), 4))
+        for tracer in (Tracer(exporter=InMemoryExporter()),
+                       Tracer(enabled=False)):
+            previous = set_tracer(tracer)
+            try:
+                with FlowSession(RuntimeConfig()) as session:
+                    outcomes.append(
+                        session.execute(profile, FlowParameters(), 4)
+                    )
+            finally:
+                set_tracer(previous)
         assert outcomes[0].qor == outcomes[1].qor
 
 
