@@ -41,9 +41,10 @@ def beam_search(
     insight: np.ndarray,
     beam_width: int = 5,
 ) -> List[BeamCandidate]:
-    """Top-``beam_width`` recipe sets for ``insight``, best first."""
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    """Top-``beam_width`` recipe sets for ``insight``, best first.
+
+    Raises ``ValueError`` unless ``beam_width`` is an integer value >= 1.
+    """
     # Imported lazily: repro.serving.batch_decode imports this module for
     # BeamCandidate, so a top-level import would be circular.
     from repro.serving.batch_decode import batched_beam_search

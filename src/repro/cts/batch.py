@@ -4,7 +4,7 @@ The H-tree recursion is inherently per-lane — each lane's placement (and
 ``max_cluster_size``) shapes a different topology — but everything around it
 is amortized across the batch: the buffer-cell lookup, the sink name/cap
 tables (gathered once from the compiled design's canonical arrays), and the
-per-lane sink position gathers from the stacked placement state.  The
+per-lane sink position gathers from each lane's position array.  The
 balancing pass and its RNG draw run per lane on the lane's own derived
 stream, exactly as the scalar path does, so latencies are bit-identical.
 """
@@ -28,40 +28,37 @@ def synthesize_clock_tree_batch(
     params_list: Sequence[CtsParams],
     seed: int = 0,
 ) -> List[ClockTree]:
-    """Build one clock tree per lane (placement must have run on every lane)."""
-    netlist0 = lanes[0].netlist
-    if netlist0.clock is None:
-        raise FlowError(f"{netlist0.name}: no clock defined; cannot run CTS")
+    """Build one clock tree per lane (placement must have run on every
+    lane).  Each tree's ``latency_ps`` holds the sinks in
+    ``design.seq_names`` order."""
+    if design.clock is None:
+        raise FlowError(f"{design.name}: no clock defined; cannot run CTS")
     S = design.S
     if S == 0:
         raise FlowError(
-            f"{netlist0.name}: clock {netlist0.clock.net_name} has no sinks"
+            f"{design.name}: clock {design.clock.net_name} has no sinks"
         )
-    node = netlist0.library.node
+    node = design.library.node
     names = list(design.seq_names)
     # Pristine DFF sizing at CTS time: input caps are shared across lanes.
-    sink_caps = np.array(
-        [netlist0.cells[name].cell_type.input_cap_ff for name in names]
-    )
-    source = np.asarray(netlist0.clock.source_xy, dtype=np.float64)
+    sink_caps = design.table.input_cap[lanes[0].variant[:S]]
+    source = np.asarray(design.clock.source_xy, dtype=np.float64)
     buffer_cells = {}
     for params in params_list:
         drive = params.buffer_drive if params.buffer_drive in (1, 2, 4, 8) else 4
         if drive not in buffer_cells:
             buffer_cells[drive] = next(
-                c for c in netlist0.library.variants(CellFunction.CLKBUF)
+                c for c in design.library.variants(CellFunction.CLKBUF)
                 if c.drive == drive
             )
 
     trees: List[ClockTree] = []
     for b, lane in enumerate(lanes):
         params = params_list[b]
-        rng = derive_rng(seed, "cts", lane.netlist.name)
+        rng = derive_rng(seed, "cts", design.name)
         drive = params.buffer_drive if params.buffer_drive in (1, 2, 4, 8) else 4
         buffer_cell = buffer_cells[drive]
-        positions = np.array(
-            [lane.netlist.cells[name].placed() for name in names]
-        )
+        positions = lane.position[design.seq_p_idx]
         builder = _TreeBuilder(
             node=node,
             buffer_cell=buffer_cell,

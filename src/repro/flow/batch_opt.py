@@ -1,13 +1,18 @@
 """Batched post-route optimization over N lanes of compiled designs.
 
 The scalar optimizer interleaves STA with in-place netlist moves; the batch
-version keeps the moves scalar (they mutate per-lane ``Netlist`` objects
-through the exact helpers in :mod:`repro.flow.opt`) and batches the STA
-calls, which dominate runtime.  Lanes start out sharing one
-:class:`CompiledDesign`; hold fixing splices buffer instances and therefore
-*diverges a lane's topology*, at which point that lane is recompiled and
-subsequent STA calls are grouped by design-object identity — diverged lanes
-run as width-1 stacks of the same vector kernel.
+version runs the moves on lane arrays and batches the STA calls, which
+dominate runtime.  A setup-sizing or power-recovery pass is one sort of the
+lane's cell-slack array into the scalar ``(slack, name)`` candidate order
+(ties broken by name) and one ladder lookup in the design's variant table.
+
+Lanes start out sharing one :class:`CompiledDesign`.  Hold fixing is the
+only move that needs objects: a lane with a hold-violating register
+endpoint is written into one freshly unpickled netlist and the scalar
+``_fix_hold`` runs on it.  If it splices buffers, the lane's topology has
+*diverged*: it is recompiled over its own design and continues as an
+array lane, and later STA calls group lanes by design identity — diverged
+lanes run as width-1 stacks of the same vector kernel.
 
 Control flow mirrors ``optimize`` per lane bit for bit: per-lane pass
 budgets, the ``moved == 0 or wns >= 0`` break, and the re-STA-only-if-changed
@@ -16,64 +21,128 @@ rules for hold fixing and power recovery.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
+
+import numpy as np
 
 from repro.cts.tree import ClockTree
-from repro.flow.opt import (
-    OptResult,
-    _apply_useful_skew,
-    _fix_hold,
-    _power_recovery_pass,
-    _setup_sizing_pass,
-)
+from repro.flow.opt import OptResult, _apply_useful_skew, _fix_hold
 from repro.flow.parameters import OptParams, TradeoffWeights
 from repro.netlist.compiled import CompiledDesign, LaneState
+from repro.netlist.netlist import Netlist
 from repro.timing.constraints import TimingConstraints
-from repro.timing.sta import TimingReport
-from repro.timing.vector_sta import run_sta_batch
+from repro.timing.vector_sta import LaneTiming, run_sta_batch
 
 
 def _sta_grouped(
-    pairs: Sequence[List],
+    lanes: Sequence[LaneState],
     constraints: TimingConstraints,
     trees: Sequence[ClockTree],
     scales: Sequence[float],
     indices: Sequence[int],
-) -> Dict[int, TimingReport]:
+) -> Dict[int, LaneTiming]:
     """Run vector STA on ``indices``, grouping lanes by shared design."""
     groups: Dict[int, List[int]] = {}
     for b in indices:
-        groups.setdefault(id(pairs[b][0]), []).append(b)
-    out: Dict[int, TimingReport] = {}
+        groups.setdefault(id(lanes[b].design), []).append(b)
+    out: Dict[int, LaneTiming] = {}
     for members in groups.values():
-        design = pairs[members[0]][0]
-        reports = run_sta_batch(
-            design,
-            [pairs[b][1] for b in members],
+        timings = run_sta_batch(
+            lanes[members[0]].design,
+            [lanes[b] for b in members],
             constraints,
             [trees[b] for b in members],
             [scales[b] for b in members],
         )
-        for b, report in zip(members, reports):
-            out[b] = report
+        for b, timing in zip(members, timings):
+            out[b] = timing
     return out
 
 
+def _ranked(design: CompiledDesign, slack: np.ndarray,
+            cells: np.ndarray) -> np.ndarray:
+    """``cells`` in ascending ``(slack, name)`` order."""
+    return cells[np.lexsort((design.name_rank[cells], slack[cells]))]
+
+
+def _resize(lane: LaneState, chosen: np.ndarray, ladder: np.ndarray) -> int:
+    """Step each chosen combinational cell one rung along ``ladder``
+    (``design.table.up`` / ``.down``); returns the move count."""
+    chosen = chosen[chosen >= lane.design.S]  # sequential cells never resize
+    target = ladder[lane.variant[chosen]]
+    movable = target >= 0
+    lane.variant[chosen[movable]] = target[movable]
+    return int(movable.sum())
+
+
+def _setup_sizing_pass(
+    lane: LaneState,
+    timing: LaneTiming,
+    params: OptParams,
+    tradeoff: TradeoffWeights,
+    throttle: float,
+) -> int:
+    """``opt._setup_sizing_pass`` on lane arrays; returns move count."""
+    candidates = np.flatnonzero(timing.finite & (timing.cell_slack < 0))
+    if not candidates.size:
+        return 0
+    timing_pressure = min(2.0, tradeoff.timing / max(tradeoff.power, 0.25))
+    quota = int(
+        np.ceil(len(candidates) * params.upsize_fraction * throttle
+                * min(1.5, 0.5 + 0.5 * timing_pressure))
+    )
+    d = lane.design
+    order = _ranked(d, timing.cell_slack, candidates)
+    return _resize(lane, order[:quota], d.table.up)
+
+
+def _power_recovery_pass(
+    lane: LaneState,
+    timing: LaneTiming,
+    constraints: TimingConstraints,
+    params: OptParams,
+    tradeoff: TradeoffWeights,
+) -> int:
+    """``opt._power_recovery_pass`` on lane arrays; returns move count."""
+    power_pressure = min(2.0, tradeoff.power / max(tradeoff.timing, 0.25))
+    margin = (
+        params.downsize_slack_margin * constraints.period_ps
+        / max(0.5, power_pressure)
+    )
+    candidates = np.flatnonzero(timing.finite & (timing.cell_slack > margin))
+    if not candidates.size:
+        return 0
+    quota = int(np.ceil(
+        len(candidates) * 0.3 * min(2.0, params.leakage_recovery) * power_pressure
+    ))
+    d = lane.design
+    # (slack, name) pairs are distinct, so descending order is the exact
+    # reverse of ascending order.
+    order = _ranked(d, timing.cell_slack, candidates)[::-1]
+    return _resize(lane, order[:quota], d.table.down)
+
+
 def optimize_batch(
-    pairs: Sequence[List],
+    lanes: List[LaneState],
     constraints: TimingConstraints,
     trees: Sequence[ClockTree],
     params_list: Sequence[OptParams],
     tradeoffs: Sequence[TradeoffWeights],
+    timings: Sequence[LaneTiming],
+    fresh_netlist: Callable[[], Netlist],
 ) -> List[OptResult]:
-    """Optimize every lane in place; ``pairs[b]`` is a mutable
-    ``[CompiledDesign, LaneState]`` list that is rebound when lane ``b``'s
-    topology diverges (hold-buffer insertion)."""
-    B = len(pairs)
+    """Optimize every lane in place; one :class:`OptResult` each.
+
+    ``timings[b]`` is lane ``b``'s STA on the current state (the post-route
+    one), so the optimizer starts without re-running it.  ``lanes[b]`` is
+    rebound when lane ``b``'s topology diverges; ``fresh_netlist()`` returns
+    a pristine netlist of the stack's design for hold fixing.
+    """
+    B = len(lanes)
     results = [OptResult() for _ in range(B)]
     scales = [p.vt_swap_bias ** -0.25 for p in params_list]
 
-    reports = _sta_grouped(pairs, constraints, trees, scales, range(B))
+    reports: Dict[int, LaneTiming] = dict(enumerate(timings))
     for b in range(B):
         results[b].pre_wns_ps = reports[b].wns_ps
         results[b].pre_tns_ps = reports[b].tns_ps
@@ -85,7 +154,7 @@ def optimize_batch(
         )
     if skew_lanes:
         reports.update(
-            _sta_grouped(pairs, constraints, trees, scales, skew_lanes)
+            _sta_grouped(lanes, constraints, trees, scales, skew_lanes)
         )
 
     throttles = [
@@ -101,14 +170,13 @@ def optimize_batch(
             pending[b] -= 1
             results[b].passes_run += 1
             moved[b] = _setup_sizing_pass(
-                pairs[b][1].netlist, reports[b], params_list[b],
-                tradeoffs[b], throttles[b],
+                lanes[b], reports[b], params_list[b], tradeoffs[b], throttles[b],
             )
             results[b].upsized += moved[b]
             if moved[b]:
-                pairs[b][1].refresh_cell_params()
+                lanes[b].refresh_cell_params()
         reports.update(
-            _sta_grouped(pairs, constraints, trees, scales, active)
+            _sta_grouped(lanes, constraints, trees, scales, active)
         )
         for b in active:
             results[b].pass_tns_ps.append(reports[b].tns_ps)
@@ -117,38 +185,39 @@ def optimize_batch(
 
     diverged: List[int] = []
     for b in range(B):
-        if params_list[b].hold_effort > 0.0:
-            netlist = pairs[b][1].netlist
-            results[b].hold_fix_count = _fix_hold(
-                netlist, reports[b], constraints, params_list[b]
-            )
-            if results[b].hold_fix_count:
-                # Buffer splicing changed the topology: this lane no longer
-                # matches the shared compiled arrays, so recompile it.
-                design = CompiledDesign(netlist)
-                pairs[b][0] = design
-                pairs[b][1] = LaneState(design, netlist)
-                diverged.append(b)
+        if params_list[b].hold_effort <= 0.0:
+            continue
+        if not (reports[b].register_hold < 0).any():
+            continue  # nothing to pad: _fix_hold would insert no buffer
+        netlist = fresh_netlist()
+        lanes[b].write_to(netlist)
+        results[b].hold_fix_count = _fix_hold(
+            netlist, reports[b], constraints, params_list[b]
+        )
+        if results[b].hold_fix_count:
+            # Buffer splicing changed the topology: this lane no longer
+            # matches the shared compiled arrays, so recompile it.
+            lanes[b] = LaneState.from_netlist(CompiledDesign(netlist), netlist)
+            diverged.append(b)
     if diverged:
         reports.update(
-            _sta_grouped(pairs, constraints, trees, scales, diverged)
+            _sta_grouped(lanes, constraints, trees, scales, diverged)
         )
 
     recovered: List[int] = []
     for b in range(B):
         if params_list[b].leakage_recovery > 0.0 and tradeoffs[b].power > 0.0:
             results[b].downsized = _power_recovery_pass(
-                pairs[b][1].netlist, reports[b], constraints,
-                params_list[b], tradeoffs[b],
+                lanes[b], reports[b], constraints, params_list[b], tradeoffs[b],
             )
             if results[b].downsized:
-                pairs[b][1].refresh_cell_params()
+                lanes[b].refresh_cell_params()
                 recovered.append(b)
     if recovered:
         reports.update(
-            _sta_grouped(pairs, constraints, trees, scales, recovered)
+            _sta_grouped(lanes, constraints, trees, scales, recovered)
         )
 
     for b in range(B):
-        results[b].report = reports[b]
+        results[b].report = reports[b].report()
     return results

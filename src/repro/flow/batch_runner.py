@@ -2,11 +2,18 @@
 
 ``run_flow_batch`` is the batched sibling of :func:`repro.flow.runner.run_flow`.
 Jobs that share a (profile, seed) pair — and therefore one pristine netlist —
-are compiled once into a :class:`CompiledDesign` and evaluated as *lanes* of
-stacked array kernels: placement, STA, CTS, routing, optimization and power
-all operate on ``(B, ...)`` stacks where the recipes differ only in
-parameters.  Mixed (profile, seed) inputs are grouped internally and results
-are reassembled in submission order.
+are evaluated as *lanes* of stacked array kernels: placement, STA, CTS,
+routing, optimization and power all operate on ``(B, ...)`` stacks where the
+recipes differ only in parameters.  Mixed (profile, seed) inputs are grouped
+internally and results are reassembled in submission order.
+
+A stack starts from the pair's cached read-only
+:class:`~repro.netlist.compiled.DesignTemplate` (``runner.design_template``):
+one compiled design shared by every stack on the pair, and B private copies
+of its pristine lane arrays.  Every kernel reads and writes those arrays,
+and the reports and snapshot metrics are computed from them; a ``Netlist``
+is unpickled (``fresh_netlists``) only for a lane that hold fixing may
+splice.
 
 This is the engine the runtime runs: :class:`~repro.runtime.FlowSession`
 stacks every group of jobs sharing a (profile, seed) pair into one
@@ -26,32 +33,28 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.cts.batch import synthesize_clock_tree_batch
 from repro.cts.skew import analyze_skew
 from repro.flow.batch_opt import optimize_batch
 from repro.flow.parameters import FlowParameters
 from repro.flow.result import FlowResult, StageSnapshot
 from repro.flow.runner import (
-    _avg_fanout,
-    _critical_net_names,
     _endpoint_slack_stats,
-    _high_fanout_fraction,
-    _macro_fraction,
-    _mean_positive_slack,
     _runtime_proxy,
-    _wire_delay_share,
+    design_template,
     fresh_netlists,
     validate_qor,
 )
 from repro.flow.stages import FlowStage
-from repro.netlist.compiled import CompiledDesign, LaneState
+from repro.netlist.compiled import LaneState
 from repro.netlist.profiles import DesignProfile, get_profile
 from repro.placement.batch import place_batch
 from repro.power.batch import analyze_power_batch
 from repro.routing.batch import global_route_batch
 from repro.routing.drc import estimate_drcs
-from repro.timing.constraints import default_constraints
-from repro.timing.vector_sta import run_sta_batch
+from repro.timing.vector_sta import LaneTiming, run_sta_batch
 
 # One job: (design, params, seed) — either a tuple or any object with
 # .design/.params/.seed attributes (e.g. runtime FlowJob).
@@ -131,11 +134,10 @@ def _run_group(
         stats["jobs"] = stats.get("jobs", 0) + B
         stats["calls"] = stats.get("calls", 0) + 1
         stats["max_width"] = max(stats.get("max_width", 0), B)
-    netlists = fresh_netlists(profile, seed, B)
-    constraints = default_constraints(netlists[0])
+    template = design_template(profile, seed)
+    design, constraints = template.design, template.constraints
+    lanes = template.lanes(B)
     scales = [p.opt.vt_swap_bias ** -0.25 for p in params_list]
-    design = CompiledDesign(netlists[0])
-    lanes = [LaneState(design, netlist) for netlist in netlists]
     snapshots: List[List[StageSnapshot]] = [[] for _ in range(B)]
 
     # ---- Stage 1: placement -------------------------------------------
@@ -145,7 +147,6 @@ def _run_group(
     pre_routes = run_sta_batch(design, lanes, constraints, [None] * B, scales)
     for b in range(B):
         placement, pre_route = placements[b], pre_routes[b]
-        netlist = lanes[b].netlist
         snapshots[b].append(StageSnapshot(FlowStage.PLACEMENT, {
             "hpwl_um": placement.total_hpwl_um,
             "peak_density": placement.peak_density,
@@ -160,16 +161,8 @@ def _run_group(
             "pre_route_violations": float(pre_route.violating_endpoints),
             "endpoint_count": float(pre_route.endpoint_count),
             "weak_cell_pct": pre_route.weak_cell_pct,
-            "mean_positive_slack_ps": _mean_positive_slack(pre_route),
-            "cell_count": float(netlist.cell_count),
-            "net_count": float(netlist.net_count),
-            "high_fanout_net_fraction": _high_fanout_fraction(netlist),
-            "area_um2_raw": netlist.total_cell_area_um2(),
-            "utilization": netlist.utilization(),
-            "register_ratio":
-                len(netlist.sequential_cells()) / max(1, netlist.cell_count),
-            "avg_fanout": _avg_fanout(netlist),
-            "macro_blockage_fraction": _macro_fraction(netlist),
+            "mean_positive_slack_ps": _mean_positive(pre_route.setup),
+            **template.placement_stats,
             "period_ps": constraints.period_ps,
         }))
 
@@ -180,7 +173,6 @@ def _run_group(
     post_cts_list = run_sta_batch(design, lanes, constraints, trees, scales)
     for b in range(B):
         tree, post_cts = trees[b], post_cts_list[b]
-        analyze_skew(tree, post_cts.critical_launch_capture)
         snapshots[b].append(StageSnapshot(FlowStage.CTS, {
             "global_skew_ps": tree.global_skew_ps,
             "mean_latency_ps": tree.mean_latency_ps,
@@ -196,8 +188,7 @@ def _run_group(
 
     # ---- Stage 3: global routing ---------------------------------------
     critical_nets = [
-        _critical_net_names(lanes[b].netlist, post_cts_list[b])
-        for b in range(B)
+        _critical_nets(lanes[b], post_cts_list[b]) for b in range(B)
     ]
     routings = global_route_batch(
         design, lanes, placements[0].grid,
@@ -220,10 +211,12 @@ def _run_group(
         }))
 
     # ---- Stage 4: optimization -----------------------------------------
-    pairs = [[design, lane] for lane in lanes]
+    # Starts from the post-route STA: nothing ran since.  A lane that hold
+    # fixing may splice gets one pristine netlist (and may be rebound).
     opt_results = optimize_batch(
-        pairs, constraints, trees,
+        lanes, constraints, trees,
         [p.opt for p in params_list], [p.tradeoff for p in params_list],
+        post_routes, lambda: fresh_netlists(profile, seed, 1)[0],
     )
     for b in range(B):
         opt_result = opt_results[b]
@@ -245,12 +238,12 @@ def _run_group(
     # design-identity group so diverged lanes use their own compiled arrays.
     power_groups: Dict[int, List[int]] = {}
     for b in range(B):
-        power_groups.setdefault(id(pairs[b][0]), []).append(b)
+        power_groups.setdefault(id(lanes[b].design), []).append(b)
     powers = [None] * B
     for members in power_groups.values():
         reports = analyze_power_batch(
-            pairs[members[0]][0],
-            [pairs[b][1] for b in members],
+            lanes[members[0]].design,
+            [lanes[b] for b in members],
             [trees[b] for b in members],
             [profile.leakage_bias * params_list[b].opt.vt_swap_bias
              for b in members],
@@ -262,13 +255,13 @@ def _run_group(
     out: List[FlowResult] = []
     scale = profile.reported_scale
     for b in range(B):
-        netlist = pairs[b][1].netlist
+        lane = lanes[b]
+        cell_count = lane.design.cell_count
+        area = lane.total_area()
         final_timing = opt_results[b].report
         power = powers[b]
         final_skew = analyze_skew(trees[b], final_timing.critical_launch_capture)
-        drcs = estimate_drcs(
-            routings[b], placements[b].peak_density, netlist.cell_count
-        )
+        drcs = estimate_drcs(routings[b], placements[b].peak_density, cell_count)
         runtime = _runtime_proxy(params_list[b])
         qor = {
             "tns_ns": final_timing.tns_ps * 1e-3 * scale ** 0.5,
@@ -276,7 +269,7 @@ def _run_group(
             "hold_tns_ns": final_timing.hold_tns_ps * 1e-3 * scale ** 0.5,
             "power_mw": power.total_mw * scale,
             "leakage_mw": power.leakage_mw * scale,
-            "area_um2": netlist.total_cell_area_um2() * scale,
+            "area_um2": area * scale,
             "wirelength_um": routings[b].routed_wirelength_um * scale,
             "drc_count": float(drcs),
             "hold_fix_count": float(opt_results[b].hold_fix_count),
@@ -297,13 +290,14 @@ def _run_group(
             "harmful_skew_paths": float(final_skew.harmful_skew_paths),
             "weak_cell_pct": final_timing.weak_cell_pct,
             "critical_path_stages": float(len(final_timing.critical_path)),
-            "wire_delay_share": _wire_delay_share(netlist, final_timing),
+            "wire_delay_share":
+                _wire_delay_share(lane, final_timing.critical_path),
             "slack_spread_ps": slack_stats["spread"],
             "near_critical_ratio": slack_stats["near_critical"],
             "recovery_headroom": slack_stats["headroom"],
             "endpoint_count": float(final_timing.endpoint_count),
-            "cell_count": float(netlist.cell_count),
-            "area_um2_raw": netlist.total_cell_area_um2(),
+            "cell_count": float(cell_count),
+            "area_um2_raw": area,
             "runtime_proxy": runtime,
         }))
         validate_qor(qor, design=profile.name)
@@ -316,3 +310,48 @@ def _run_group(
             skew=final_skew,
         ))
     return out
+
+
+# ----------------------------------------------------------------------
+# Snapshot helpers on lane arrays: each mirrors its ``flow.runner``
+# counterpart on the scalar engine's netlist, value for value.
+# ----------------------------------------------------------------------
+def _mean_positive(setup: np.ndarray) -> float:
+    """``runner._mean_positive_slack`` of an endpoint setup-slack vector."""
+    positive = setup[setup > 0]
+    return float(np.mean(positive)) if positive.size else 0.0
+
+
+def _critical_nets(lane: LaneState, timing: LaneTiming) -> np.ndarray:
+    """``runner._critical_net_names`` as data-net indices: the output nets
+    of the traced critical path, then of the (at most 200) most negative
+    slack cells in stable slack order, first occurrence kept."""
+    d = lane.design
+    path = np.array([d.index[name] for name in timing.critical_path],
+                    dtype=np.int64)
+    candidates = np.flatnonzero(timing.finite)
+    slack = timing.cell_slack
+    ranked = candidates[np.argsort(slack[candidates], kind="stable")[:200]]
+    ranked = ranked[slack[ranked] < 0]
+    nets = d.out_net[np.concatenate([path, ranked])]
+    nets = nets[nets < d.N]  # cells that drive no net
+    _, first = np.unique(nets, return_index=True)
+    return nets[np.sort(first)]
+
+
+def _wire_delay_share(lane: LaneState, critical_path: List[str]) -> float:
+    """``runner._wire_delay_share``: wire fraction of the worst path's delay,
+    both terms left folds along the path."""
+    if not critical_path:
+        return 0.0
+    d = lane.design
+    cells = np.array([d.index[name] for name in critical_path], dtype=np.int64)
+    wires = lane.wire_delay[d.out_net[cells]]  # pad slot: no net, 0.0
+    gates = lane.intrinsic[cells] + lane.drive_res[cells] * lane.loads()[cells]
+    wire = 0.0
+    gate = 0.0
+    for wire_ps, gate_ps in zip(wires.tolist(), gates.tolist()):
+        wire += wire_ps
+        gate += gate_ps
+    total = wire + gate
+    return wire / total if total > 0 else 0.0

@@ -26,6 +26,7 @@ from repro.flow.opt import optimize
 from repro.flow.parameters import FlowParameters
 from repro.flow.result import FlowResult, StageSnapshot
 from repro.flow.stages import FlowStage
+from repro.netlist.compiled import DesignTemplate
 from repro.netlist.generator import generate_netlist
 from repro.netlist.netlist import Netlist
 from repro.netlist.profiles import DesignProfile, get_profile
@@ -42,11 +43,22 @@ from repro.timing.sta import run_sta
 # without limit; least-recently-used entries are evicted past the cap.
 _NETLIST_CACHE: "OrderedDict[tuple, bytes]" = OrderedDict()
 _NETLIST_CACHE_LIMIT = 32
+# The stacked engine's read-only template per cached (profile name, seed):
+# built on first use from the pristine bytes, evicted and cleared with them.
+_TEMPLATE_CACHE: Dict[tuple, DesignTemplate] = {}
 
 
 def clear_netlist_cache() -> None:
-    """Drop every cached pristine netlist (frees memory immediately)."""
+    """Drop every cached pristine netlist and template (frees memory
+    immediately)."""
     _NETLIST_CACHE.clear()
+    _TEMPLATE_CACHE.clear()
+
+
+def _evict_over_limit() -> None:
+    while len(_NETLIST_CACHE) > _NETLIST_CACHE_LIMIT:
+        key, _ = _NETLIST_CACHE.popitem(last=False)
+        _TEMPLATE_CACHE.pop(key, None)
 
 
 def set_netlist_cache_limit(limit: int) -> int:
@@ -59,8 +71,7 @@ def set_netlist_cache_limit(limit: int) -> int:
         raise ValueError(f"netlist cache limit must be >= 1, got {limit}")
     previous = _NETLIST_CACHE_LIMIT
     _NETLIST_CACHE_LIMIT = int(limit)
-    while len(_NETLIST_CACHE) > _NETLIST_CACHE_LIMIT:
-        _NETLIST_CACHE.popitem(last=False)
+    _evict_over_limit()
     return previous
 
 
@@ -101,6 +112,12 @@ def fresh_netlists(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     profile = get_profile(design) if isinstance(design, str) else design
+    cached = _pristine_bytes(profile, seed)
+    return [pickle.loads(cached) for _ in range(count)]
+
+
+def _pristine_bytes(profile: DesignProfile, seed: int) -> bytes:
+    """The cached pickle of one pristine netlist (admits or touches it)."""
     key = (profile.name, seed)
     cached = _NETLIST_CACHE.get(key)
     if cached is None:
@@ -108,11 +125,48 @@ def fresh_netlists(
             generate_netlist(profile, seed=seed), protocol=pickle.HIGHEST_PROTOCOL
         )
         _NETLIST_CACHE[key] = cached
-        while len(_NETLIST_CACHE) > _NETLIST_CACHE_LIMIT:
-            _NETLIST_CACHE.popitem(last=False)
+        _evict_over_limit()
     else:
         _NETLIST_CACHE.move_to_end(key)
-    return [pickle.loads(cached) for _ in range(count)]
+    return cached
+
+
+def design_template(
+    design: Union[str, DesignProfile], seed: int
+) -> DesignTemplate:
+    """The stacked engine's cached read-only template for one (profile,
+    seed): compiled design, constraints, topology-only placement snapshot
+    values and pristine lane arrays.
+
+    It lives next to the pristine netlist bytes, shares their LRU slot
+    (touching one touches both) and goes when they are evicted or
+    cleared.
+    """
+    profile = get_profile(design) if isinstance(design, str) else design
+    key = (profile.name, seed)
+    cached = _pristine_bytes(profile, seed)
+    template = _TEMPLATE_CACHE.get(key)
+    if template is None:
+        netlist = pickle.loads(cached)
+        template = DesignTemplate(netlist, _placement_statistics(netlist))
+        _TEMPLATE_CACHE[key] = template
+    return template
+
+
+def _placement_statistics(netlist: Netlist) -> Dict[str, float]:
+    """The PLACEMENT snapshot values that depend on topology only (and on
+    pristine sizing, which placement never changes), in snapshot order."""
+    return {
+        "cell_count": float(netlist.cell_count),
+        "net_count": float(netlist.net_count),
+        "high_fanout_net_fraction": _high_fanout_fraction(netlist),
+        "area_um2_raw": netlist.total_cell_area_um2(),
+        "utilization": netlist.utilization(),
+        "register_ratio":
+            len(netlist.sequential_cells()) / max(1, netlist.cell_count),
+        "avg_fanout": _avg_fanout(netlist),
+        "macro_blockage_fraction": _macro_fraction(netlist),
+    }
 
 
 # The metrics every signoff QoR dict must carry, finite, for downstream
@@ -185,21 +239,13 @@ def run_flow(
         "endpoint_count": float(pre_route.endpoint_count),
         "weak_cell_pct": pre_route.weak_cell_pct,
         "mean_positive_slack_ps": _mean_positive_slack(pre_route),
-        "cell_count": float(netlist.cell_count),
-        "net_count": float(netlist.net_count),
-        "high_fanout_net_fraction": _high_fanout_fraction(netlist),
-        "area_um2_raw": netlist.total_cell_area_um2(),
-        "utilization": netlist.utilization(),
-        "register_ratio": len(netlist.sequential_cells()) / max(1, netlist.cell_count),
-        "avg_fanout": _avg_fanout(netlist),
-        "macro_blockage_fraction": _macro_fraction(netlist),
+        **_placement_statistics(netlist),
         "period_ps": constraints.period_ps,
     }))
 
     # ---- Stage 2: clock-tree synthesis --------------------------------
     tree = synthesize_clock_tree(netlist, params.cts, seed=seed)
     post_cts = run_sta(netlist, constraints, tree, delay_scale=delay_scale)
-    skew_report = analyze_skew(tree, post_cts.critical_launch_capture)
     snapshots.append(StageSnapshot(FlowStage.CTS, {
         "global_skew_ps": tree.global_skew_ps,
         "mean_latency_ps": tree.mean_latency_ps,

@@ -1,16 +1,28 @@
-"""Compiled array-form design IR for the batched flow simulator.
+"""Compiled array-form design IR and the lane arrays of the stacked flow.
 
 A :class:`CompiledDesign` freezes one netlist *topology* (cell/net identity,
 connectivity, levelized timing arcs, load-fold tables) into flat numpy index
 arrays so the batch kernels in ``placement/batch.py``, ``cts/batch.py``,
 ``routing/batch.py``, ``timing/vector_sta.py`` and ``power/batch.py`` can
-evaluate N jobs as stacked arrays.  Per-job *values* (wire parasitics, cell
-sizing, clock latencies) live in :class:`LaneState`, one per job.
+evaluate N jobs as stacked arrays.  It also carries the netlist's static
+data (name, library, die, blockages, clock), so helpers that read only
+those accept it in place of a :class:`Netlist`.
 
-The IR is shared across every job of a compatibility group — same design
-profile and netlist seed, hence bit-identical pristine topology — and is
-recompiled per lane once topologies diverge (hold-buffer insertion during
-optimization adds cells and nets).
+A :class:`LaneState` is the whole per-job state: placer-space positions,
+wire length/cap/delay per data net, and each canonical cell's library
+variant (an index into the design's :class:`VariantTable`).  The kernels
+read and write these arrays and never touch a ``Netlist``.
+
+A :class:`DesignTemplate` is one (profile, netlist seed)'s read-only start
+point: the compiled design, the default constraints, the topology-only
+placement snapshot values and the pristine lane.  ``flow.runner`` caches
+one per (profile, seed) next to the pristine netlist bytes, so a stack
+copies B lanes of arrays instead of unpickling and recompiling B netlists.
+
+Only hold fixing needs objects: a lane that may splice buffers is written
+into one freshly unpickled netlist (:meth:`LaneState.write_to`); if buffers
+are spliced the lane is recompiled over its own width-1 design
+(:meth:`LaneState.from_netlist`) and continues as an array lane.
 
 Index spaces:
 
@@ -31,11 +43,50 @@ Index spaces:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+from repro.techlib.library import Library
+from repro.timing.constraints import default_constraints
+
+
+class VariantTable:
+    """Every cell type of one library as parallel arrays.
+
+    A lane's sizing is one index per canonical cell into this table, so
+    re-gathering per-cell parameters after sizing moves is one ``take``
+    per parameter, and an up/down sizing move is one ladder lookup.
+    """
+
+    def __init__(self, library: Library) -> None:
+        self.types = list(library.cells.values())
+        self.index: Dict[str, int] = {
+            cell.name: k for k, cell in enumerate(self.types)
+        }
+
+        def column(attr: str) -> np.ndarray:
+            return np.array([getattr(c, attr) for c in self.types],
+                            dtype=np.float64)
+
+        self.intrinsic = column("intrinsic_delay_ps")
+        self.drive_res = column("drive_res_kohm")
+        self.leakage = column("leakage_nw")
+        self.energy = column("internal_energy_fj")
+        self.input_cap = column("input_cap_ff")
+        self.area = column("area_um2")
+        self.is_weak = np.array([c.is_weak for c in self.types], dtype=bool)
+
+        def ladder(step) -> np.ndarray:
+            out = [step(c) for c in self.types]
+            return np.array(
+                [-1 if c is None else self.index[c.name] for c in out],
+                dtype=np.int64,
+            )
+
+        self.up = ladder(library.upsize)      # -1: already strongest
+        self.down = ladder(library.downsize)  # -1: already weakest
 
 
 class CompiledDesign:
@@ -44,6 +95,13 @@ class CompiledDesign:
     def __init__(self, netlist: Netlist) -> None:
         self.name = netlist.name
         self.library = netlist.library
+        self.die_width_um = netlist.die_width_um
+        self.die_height_um = netlist.die_height_um
+        self.blockages = list(netlist.blockages)
+        self.clock = netlist.clock
+        self.cell_count = netlist.cell_count
+        self.net_count = netlist.net_count
+        self.table = VariantTable(netlist.library)
 
         # --- canonical cell order: sequential first, then topological comb.
         seq_cells = netlist.sequential_cells()
@@ -129,7 +187,6 @@ class CompiledDesign:
         # driver scan.
         fanin_src: List[int] = []
         fanin_net: List[int] = []
-        fanin_off = np.zeros(self.V + 1, dtype=np.int64)
         # levels: list of dicts with the arrays the forward/backward passes use
         self.levels: List[dict] = []
         off_cursor = 0
@@ -151,36 +208,24 @@ class CompiledDesign:
                 per_cell_ranges[i] = (start, off_cursor)
             arc_src = np.array(fanin_src[a0:off_cursor], dtype=np.int64)
             arc_net = np.array(fanin_net[a0:off_cursor], dtype=np.int64)
-            # Backward pass: arcs of this level grouped by source cell.
-            perm = np.argsort(arc_src, kind="stable")
-            sorted_src = arc_src[perm]
-            if sorted_src.size:
-                boundary = np.r_[True, sorted_src[1:] != sorted_src[:-1]]
-                bw_seg_starts = np.flatnonzero(boundary)
-                bw_src = sorted_src[bw_seg_starts]
-            else:
-                bw_seg_starts = np.zeros(0, dtype=np.int64)
-                bw_src = np.zeros(0, dtype=np.int64)
             self.levels.append({
                 "dst": dst_idx,
                 "seg": seg_starts,
                 "src": arc_src,
                 "net": arc_net,
-                "bw_perm": perm,
-                "bw_seg": bw_seg_starts,
-                "bw_src": bw_src,
+                # Each arc's sink, for the backward required-time sweep.
+                "arc_dst": np.repeat(
+                    dst_idx, np.diff(np.r_[seg_starts, len(arc_src)])
+                ),
             })
-        self.fanin_src = np.array(fanin_src, dtype=np.int64)
-        self.fanin_net = np.array(fanin_net, dtype=np.int64)
-        for i in range(self.V):
-            rng = per_cell_ranges.get(i)
-            if rng is not None:
-                fanin_off[i] = rng[0]
-        # second pass: offsets as [start, end) pairs stored separately
-        self.fanin_start = np.zeros(self.V, dtype=np.int64)
-        self.fanin_end = np.zeros(self.V, dtype=np.int64)
-        for i, rng in per_cell_ranges.items():
-            self.fanin_start[i], self.fanin_end[i] = rng
+        # The tracer walks a handful of chains per report in Python, so it
+        # reads plain lists: [start, end) fanin ranges per canonical cell.
+        self.fanin_src = fanin_src
+        self.fanin_net = fanin_net
+        self.fanin_start = [0] * self.V
+        self.fanin_end = [0] * self.V
+        for i, (start, end) in per_cell_ranges.items():
+            self.fanin_start[i], self.fanin_end[i] = start, end
 
         # --- endpoint arcs, grouped by endpoint in sequential order ---------
         ep_src: List[int] = []
@@ -199,20 +244,9 @@ class CompiledDesign:
         self.ep_active_idx = np.flatnonzero(active)  # into seq order
         # reduceat segments over the flat ep arrays, one per active endpoint
         self.ep_seg = ep_off[:-1][active]
-        # Backward: endpoint arcs grouped by driver (min is order-free).
-        # req_at_pin depends on the endpoint, so keep the owning endpoint id.
-        ep_owner = np.repeat(np.arange(self.S), np.diff(ep_off))
-        perm = np.argsort(self.ep_src, kind="stable")
-        self.ep_bw_perm = perm
-        sorted_src = self.ep_src[perm]
-        if sorted_src.size:
-            boundary = np.r_[True, sorted_src[1:] != sorted_src[:-1]]
-            self.ep_bw_seg = np.flatnonzero(boundary)
-            self.ep_bw_src = sorted_src[self.ep_bw_seg]
-        else:
-            self.ep_bw_seg = np.zeros(0, dtype=np.int64)
-            self.ep_bw_src = np.zeros(0, dtype=np.int64)
-        self.ep_owner = ep_owner
+        # Backward: req_at_pin depends on the endpoint, so each endpoint
+        # arc keeps its owning endpoint id (the min sweep is order-free).
+        self.ep_owner = np.repeat(np.arange(self.S), np.diff(ep_off))
 
         # --- primary outputs -------------------------------------------------
         po_keys: List[str] = []
@@ -230,6 +264,19 @@ class CompiledDesign:
         self.po_keys = po_keys
         self.po_driver = np.array(po_driver, dtype=np.int64)
         self.po_req_driver = np.array(po_req_driver, dtype=np.int64)
+        # Report key order: active register endpoints, then primary outputs.
+        self.endpoint_keys: List[str] = [
+            self.seq_names[j] for j in self.ep_active_idx.tolist()
+        ] + po_keys
+        self.ep_src_list = self.ep_src.tolist()
+        self.ep_net_list = self.ep_net.tolist()
+        self.ep_off_list = self.ep_off.tolist()
+        # Rank of each canonical cell's name in sorted order: the optimizer
+        # sorts (slack, name) candidate tuples, ties broken by name.
+        self.name_rank = np.empty(self.V, dtype=np.int64)
+        self.name_rank[
+            sorted(range(self.V), key=self.cell_names.__getitem__)
+        ] = np.arange(self.V)
 
         # --- dict-order views (power accumulation, placer cell array) -------
         dictorder: List[int] = []
@@ -249,7 +296,14 @@ class CompiledDesign:
             [netlist.cells[n].switching_activity for n in self.cell_names],
             dtype=np.float64,
         )
-        self.is_weak_ignore = None  # weak% is read live from lane cell types
+        # Area fold order: every cell (clock cells included) in dict order,
+        # as extended indices; clock-cell areas never change.
+        self.area_order = np.array(
+            [self.ext_index[name] for name in netlist.cells], dtype=np.int64
+        )
+        self.clock_areas = np.array(
+            [netlist.cells[n].area_um2 for n in clock_names], dtype=np.float64
+        )
 
         # --- placer connectivity (params-independent part) -------------------
         # Placer cell space == dict-order space (non-clock cells, dict order).
@@ -293,11 +347,11 @@ class CompiledDesign:
         self.pin_net = np.array(pin_net, dtype=np.int64)
         self.p_net_sizes = np.array(net_sizes, dtype=np.int64)
         self.p_net_crit = np.array(crit, dtype=np.float64)
-        self.p_net_names = p_net_names
-        # data-net index -> placer net index (-1: annotate default length 2.0)
-        self.placer_net_of = np.full(self.N, -1, dtype=np.int64)
-        for k, net_name in enumerate(p_net_names):
-            self.placer_net_of[self.net_index[net_name]] = k
+        # Data-net index of each placer net; the other data nets keep the
+        # default wire length 2.0 after placement.
+        self.p_net_data = np.array(
+            [self.net_index[name] for name in p_net_names], dtype=np.int64
+        )
 
         # --- routing pin geometry (static pin sets in placer space) ----------
         # Mirrors groute._pin_positions: driver + pin>=0 sinks that are placed
@@ -331,62 +385,152 @@ class CompiledDesign:
 
 
 class LaneState:
-    """Per-job dynamic state over a :class:`CompiledDesign` index space."""
+    """One job's whole dynamic state, as arrays over a design's index spaces.
 
-    def __init__(self, design: CompiledDesign, netlist: Netlist) -> None:
+    - ``variant`` ``(V,)``: each canonical cell's library variant, an index
+      into ``design.table``; sizing moves rewrite it.
+    - ``position`` ``(P, 2)``: placer-space (dict-order) cell positions,
+      ``None`` until placement runs.
+    - ``wire_length`` / ``wire_cap`` / ``wire_delay`` ``(N + 1,)``: per data
+      net; the pad slot ``N`` stays 0.0.
+
+    :meth:`refresh_cell_params` derives the per-cell library parameters
+    (delay model, leakage, energy, area, input caps, weak flag) from
+    ``variant`` with one gather each; it rebinds them, so a reference held
+    from an earlier state stays a snapshot of that state.
+    """
+
+    def __init__(
+        self,
+        design: CompiledDesign,
+        variant: np.ndarray,
+        wire_length: np.ndarray,
+        wire_cap: np.ndarray,
+        wire_delay: np.ndarray,
+        position: Optional[np.ndarray] = None,
+    ) -> None:
         self.design = design
-        self.netlist = netlist
-        self.cell_objs = [netlist.cells[n] for n in design.cell_names]
-        self.net_objs = [netlist.nets[n] for n in design.net_names]
+        self.variant = variant
+        self.position = position
+        self.wire_length = wire_length
+        self.wire_cap = wire_cap
+        self.wire_delay = wire_delay
         self.refresh_cell_params()
-        self.refresh_wire_state()
+
+    @classmethod
+    def from_netlist(cls, design: CompiledDesign, netlist: Netlist) -> "LaneState":
+        """Gather a lane from ``netlist``'s objects (``design`` compiled
+        from the same topology)."""
+        cells = netlist.cells
+        index = design.table.index
+        variant = np.array(
+            [index[cells[name].cell_type.name] for name in design.cell_names],
+            dtype=np.int64,
+        )
+        nets = [netlist.nets[name] for name in design.net_names]
+
+        def wire(attr: str) -> np.ndarray:
+            return np.array([getattr(n, attr) for n in nets] + [0.0],
+                            dtype=np.float64)
+
+        points = [cells[name].position for name in design.p_names]
+        position = (
+            None if any(p is None for p in points)
+            else np.array(points, dtype=np.float64).reshape(-1, 2)
+        )
+        return cls(design, variant, wire("wire_length_um"),
+                   wire("wire_cap_ff"), wire("wire_delay_ps"), position)
+
+    def copy(self) -> "LaneState":
+        """An independent lane with equal values (no array is shared)."""
+        return LaneState(
+            self.design,
+            self.variant.copy(),
+            self.wire_length.copy(),
+            self.wire_cap.copy(),
+            self.wire_delay.copy(),
+            None if self.position is None else self.position.copy(),
+        )
+
+    def write_to(self, netlist: Netlist) -> None:
+        """Write positions, wire values and cell variants into ``netlist``,
+        a pristine copy of this lane's design, exactly as the scalar stages
+        leave them on their own netlist."""
+        d = self.design
+        cells = netlist.cells
+        if self.position is not None:
+            for name, xy in zip(d.p_names, self.position.tolist()):
+                cells[name].position = tuple(xy)
+        for name, length, cap, delay in zip(
+            d.net_names, self.wire_length.tolist(), self.wire_cap.tolist(),
+            self.wire_delay.tolist(),
+        ):
+            net = netlist.nets[name]
+            net.wire_length_um = length
+            net.wire_cap_ff = cap
+            net.wire_delay_ps = delay
+        types = d.table.types
+        for name, k in zip(d.cell_names, self.variant.tolist()):
+            cells[name].cell_type = types[k]
 
     # -- cell sizing state -------------------------------------------------
     def refresh_cell_params(self) -> None:
-        """Re-gather per-cell library parameters from the netlist."""
+        """Re-gather per-cell library parameters from ``variant``."""
         d = self.design
-        intr = np.empty(d.V, dtype=np.float64)
-        res = np.empty(d.V, dtype=np.float64)
-        leak = np.empty(d.V, dtype=np.float64)
-        energy = np.empty(d.V, dtype=np.float64)
+        t = d.table
+        v = self.variant
+        self.intrinsic = t.intrinsic[v]
+        self.drive_res = t.drive_res[v]
+        self.leakage = t.leakage[v]
+        self.energy = t.energy[v]
+        self.area = t.area[v]
+        self.is_weak = t.is_weak[v]
         cap_ext = np.zeros(d.E + 1, dtype=np.float64)
-        for i, cell in enumerate(self.cell_objs):
-            ct = cell.cell_type
-            intr[i] = ct.intrinsic_delay_ps
-            res[i] = ct.drive_res_kohm
-            leak[i] = ct.leakage_nw
-            energy[i] = ct.internal_energy_fj
-            cap_ext[i] = ct.input_cap_ff
-        if d.clock_caps.size:
-            cap_ext[d.V:d.E] = d.clock_caps
-        self.intrinsic = intr
-        self.drive_res = res
-        self.leakage = leak
-        self.energy = energy
+        cap_ext[: d.V] = t.input_cap[v]
+        cap_ext[d.V:d.E] = d.clock_caps
         self.cap_ext = cap_ext
-
-    # -- wire parasitics ---------------------------------------------------
-    def refresh_wire_state(self) -> None:
-        """Re-gather wire cap/delay from the netlist's net objects."""
-        d = self.design
-        wc = np.zeros(d.N + 1, dtype=np.float64)
-        wd = np.zeros(d.N + 1, dtype=np.float64)
-        for i, net in enumerate(self.net_objs):
-            wc[i] = net.wire_cap_ff
-            wd[i] = net.wire_delay_ps
-        self.wire_cap = wc
-        self.wire_delay = wd
 
     # -- derived quantities -------------------------------------------------
     def loads(self) -> np.ndarray:
         """Per-cell output load, bit-identical to ``output_load_ff``."""
         d = self.design
-        load = self.wire_cap[d.out_net].copy()
+        load = self.wire_cap[d.out_net]
         caps = self.cap_ext[d.sink_matrix]  # (V, maxF); pad column -> 0.0
         for k in range(caps.shape[1]):
             load = load + caps[:, k]
         return load
 
-    def gate_delays(self, delay_scale: float) -> np.ndarray:
-        load = self.loads()
-        return (self.intrinsic + self.drive_res * load) * delay_scale
+    def total_area(self) -> float:
+        """``Netlist.total_cell_area_um2`` of this lane's sizing: the same
+        ``sum`` over every cell in dict order."""
+        area = np.concatenate([self.area, self.design.clock_areas])
+        return float(sum(area[self.design.area_order].tolist()))
+
+
+class DesignTemplate:
+    """The read-only start of every stack on one (profile, netlist seed).
+
+    Holds the :class:`CompiledDesign`, the default constraints, the
+    topology-only PLACEMENT snapshot values (``placement_stats``, in the
+    snapshot's key order) and the pristine lane.  A stack takes private
+    copies of the pristine lane (:meth:`lanes`).  Every array of the
+    design, its variant table and the pristine lane is read-only, so no
+    run can mutate the template.
+    """
+
+    def __init__(self, netlist: Netlist, placement_stats: Dict[str, float]) -> None:
+        self.design = CompiledDesign(netlist)
+        self.constraints = default_constraints(netlist)
+        self.placement_stats = placement_stats
+        self.lane = LaneState.from_netlist(self.design, netlist)
+        arrays = [*vars(self.design).values(), *vars(self.design.table).values(),
+                  *vars(self.lane).values()]
+        for level in self.design.levels:
+            arrays.extend(level.values())
+        for array in arrays:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    def lanes(self, count: int) -> List[LaneState]:
+        """``count`` independent pristine lanes."""
+        return [self.lane.copy() for _ in range(count)]

@@ -1,12 +1,11 @@
 """Stacked force-directed placement over N lanes of one compiled design.
 
 ``place_batch`` places once per *distinct* :class:`PlacerParams`.  Lanes
-whose placer settings have the same bits share the pristine netlist and the
+whose placer settings have the same bits share the pristine lane and the
 ``derive_rng(seed, "placer", name)`` stream, so they would place
 identically: such *twins* copy their representative's final positions,
-wire lengths and result values, while each still gets its own cell
-positions, wire annotation, wire-state refresh and
-:class:`PlacementResult`.
+wire values and result values, while each still gets its own position and
+wire arrays and its own :class:`PlacementResult`.
 
 The distinct settings run the scalar placer's iteration loop as *slots* of
 one ``(U, n, 2)`` position stack, and every stage works on the whole stack
@@ -23,9 +22,12 @@ ops on a longer array, signed zeros included.
 Slots are sorted by iteration budget, so the active slots are always a
 prefix of the stack.  A slot whose budget is exhausted is *frozen*: left
 out of every update rather than padded through the math, and the frozen
-slot-iterations are reported as padding waste.  Legalization, row snapping
-and wirelength annotation reuse the scalar helpers per slot, consuming the
-slot's own RNG stream exactly where the scalar placer would.
+slot-iterations are reported as padding waste.  Legalization and row
+snapping run per slot, consuming the slot's own RNG stream exactly where
+the scalar placer would.  The final positions and the scalar
+``_annotate_wirelengths`` values (Steiner length, wire cap and delay per
+data net, default length 2.0 for nets outside the placer) are written into
+the lane arrays with the same expressions, the total as a left fold.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.placement.placer import (
     _CHECKPOINT_NAMES,
     PlacementResult,
     PlacerParams,
-    _annotate_wirelengths,
     _cluster_seeds,
     _initial_positions,
     _routing_supply_per_bin,
@@ -299,17 +300,17 @@ def place_batch(
     seed: int = 0,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[PlacementResult]:
-    """Place every lane's netlist in-place; one :class:`PlacementResult` each.
+    """Place every lane; one :class:`PlacementResult` each.
 
-    Every lane must hold a pristine copy of ``design``'s netlist.  ``stats``
-    accumulates ``placement_twins`` (lanes that copied a twin's placement)
-    and the ``lane_steps`` / ``frozen_steps`` of the placed slots.
+    Every lane must be a pristine lane of ``design``; placement sets its
+    ``position`` and wire arrays.  ``stats`` accumulates
+    ``placement_twins`` (lanes that copied a twin's placement) and the
+    ``lane_steps`` / ``frozen_steps`` of the placed slots.
     """
-    netlist0 = lanes[0].netlist
     n = len(design.p_names)
-    width, height = netlist0.die_width_um, netlist0.die_height_um
+    width, height = design.die_width_um, design.die_height_um
     target_bins = int(np.clip(np.sqrt(n) / 2.2, 4, 16))
-    grid = PlacementGrid.for_die(width, height, netlist0.blockages, target_bins)
+    grid = PlacementGrid.for_die(width, height, design.blockages, target_bins)
     areas = design.p_area
 
     params, lane_slot = _placer_slots(params_list)
@@ -330,12 +331,11 @@ def place_batch(
     marks: List[Dict[str, Dict[str, float]]] = [{} for _ in range(U)]
     levels: List[Dict[str, str]] = [{} for _ in range(U)]
 
-    ix = _StackIndex(design, grid, U, _routing_supply_per_bin(netlist0, grid))
-    cells0 = [netlist0.cells[name] for name in design.p_names]
-    rng = derive_rng(seed, "placer", netlist0.name)
-    start = _initial_positions(cells0, netlist0, rng)
+    ix = _StackIndex(design, grid, U, _routing_supply_per_bin(design, grid))
+    rng = derive_rng(seed, "placer", design.name)
+    cluster_seeds = _cluster_seeds(design.p_cluster, design)
+    start = _initial_positions(cluster_seeds, design, rng)
     rngs = [copy.deepcopy(rng) for _ in range(U)]
-    cluster_seeds = _cluster_seeds(cells0, netlist0)
     positions = np.repeat(start[None], U, axis=0)
 
     net_weights = (
@@ -353,7 +353,7 @@ def place_batch(
     density_targets = np.array([p.density_target for p in params])[:, None, None]
     spreads = np.array([p.spread_strength for p in params])[:, None, None]
 
-    if netlist0.blockages:
+    if design.blockages:
         blk_gy, blk_gx = np.gradient(grid.blockage_fraction)
         blk_gx, blk_gy = blk_gx.ravel(), blk_gy.ravel()
     cong_field = np.zeros((U, grid.bins_y, grid.bins_x))
@@ -404,7 +404,7 @@ def place_batch(
         new_positions[:, :, 1] -= (
             push * gy.reshape(-1).take(flat_bins) * grid.bin_height_um
         )
-        if netlist0.blockages:
+        if design.blockages:
             new_positions[:, :, 0] -= 2.0 * blk_gx.take(bins) * grid.bin_width_um
             new_positions[:, :, 1] -= 2.0 * blk_gy.take(bins) * grid.bin_height_um
 
@@ -437,16 +437,17 @@ def place_batch(
     for s in range(U):
         levels[s]["final"] = classify_congestion(final_congestion[s]["peak"])
 
+    wires = [_annotated_wires(design, lengths[s]) for s in range(U)]
     results = []
     for lane, s in zip(lanes, lane_slot):
-        netlist = lane.netlist
-        for name, xy in zip(design.p_names, final[s].tolist()):
-            netlist.cells[name].position = tuple(xy)
+        wire_length, wire_cap, wire_delay, total = wires[s]
+        lane.position = final[s].copy()
+        lane.wire_length = wire_length.copy()
+        lane.wire_cap = wire_cap.copy()
+        lane.wire_delay = wire_delay.copy()
         results.append(PlacementResult(
             grid=grid,
-            total_hpwl_um=_annotate_wirelengths(
-                netlist, design.p_net_names, lengths[s]
-            ),
+            total_hpwl_um=total,
             peak_density=float(density[s].max()),
             congestion_checkpoints={
                 name: dict(snapshot) for name, snapshot in marks[s].items()
@@ -455,5 +456,25 @@ def place_batch(
             final_congestion=dict(final_congestion[s]),
             iterations_run=iters[s],
         ))
-        lane.refresh_wire_state()
     return results
+
+
+def _annotated_wires(design: CompiledDesign, lengths: np.ndarray):
+    """``placer._annotate_wirelengths`` on arrays: wire length, cap and
+    delay per data net (pad slot 0.0) and the total length.
+
+    Nets outside the placer keep the default length 2.0.  The delay keeps
+    the scalar ``x ** 2`` (libm ``pow``, which differs from ``x * x`` in
+    the last bit now and then) and the total is the scalar left fold.
+    """
+    node = design.library.node
+    wire_length = np.zeros(design.N + 1)
+    wire_length[: design.N] = 2.0
+    wire_length[design.p_net_data] = lengths
+    wire_cap = wire_length * node.wire_cap_ff_per_um
+    k = 0.5 * node.wire_res_ohm_per_um * node.wire_cap_ff_per_um
+    wire_delay = np.array(
+        [k * length ** 2 / 1000.0 for length in wire_length.tolist()]
+    )
+    total = float(np.cumsum(wire_length[: design.N])[-1]) if design.N else 0.0
+    return wire_length, wire_cap, wire_delay, total

@@ -87,8 +87,8 @@ def place(netlist: Netlist, params: PlacerParams, seed: int = 0) -> PlacementRes
     grid = PlacementGrid.for_die(width, height, netlist.blockages, target_bins)
     areas = np.array([c.area_um2 for c in cells])
 
-    positions = _initial_positions(cells, netlist, rng)
-    cluster_seeds = _cluster_seeds(cells, netlist)
+    cluster_seeds = _cluster_seeds([c.cluster for c in cells], netlist)
+    positions = _initial_positions(cluster_seeds, netlist, rng)
 
     pin_cell, pin_net, net_sizes, net_weights, net_names = _build_connectivity(
         netlist, index_of, params
@@ -206,18 +206,23 @@ def _boxes_fast(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _initial_positions(cells, netlist: Netlist, rng) -> np.ndarray:
-    """Scatter cells near their cluster seed to start from a sane topology."""
-    width, height = netlist.die_width_um, netlist.die_height_um
-    positions = _cluster_seeds(cells, netlist)
+def _initial_positions(seeds: np.ndarray, die, rng) -> np.ndarray:
+    """Scatter cells near their cluster seed to start from a sane topology.
+
+    ``die`` is anything with ``die_width_um`` / ``die_height_um`` (a
+    netlist or its compiled design).
+    """
+    width, height = die.die_width_um, die.die_height_um
+    positions = seeds.copy()
     positions += rng.normal(0.0, 0.08 * width, size=positions.shape)
     return np.clip(positions, 0.0, [width, height])
 
 
-def _cluster_seeds(cells, netlist: Netlist) -> np.ndarray:
-    """Each cell's cluster seed: cluster centers on a square grid."""
-    width, height = netlist.die_width_um, netlist.die_height_um
-    clusters = np.array([c.cluster for c in cells])
+def _cluster_seeds(clusters, die) -> np.ndarray:
+    """Each cell's cluster seed (``clusters`` in cell order): cluster
+    centers on a square grid over ``die``."""
+    width, height = die.die_width_um, die.die_height_um
+    clusters = np.array(clusters)
     unique = np.unique(clusters)
     grid_side = int(np.ceil(np.sqrt(len(unique))))
     seeds = {}

@@ -35,12 +35,11 @@ def analyze_power_batch(
     clock_gating_efficiencies: Sequence[float],
 ) -> List[PowerReport]:
     """Average power per lane, bit-identical to ``analyze_power``."""
-    netlist0 = lanes[0].netlist
-    if netlist0.clock is None:
-        raise FlowError(f"{netlist0.name}: no clock; cannot compute power")
-    freq_hz = 1e12 / netlist0.clock.period_ps
-    vdd = netlist0.library.node.vdd
-    node = netlist0.library.node
+    if design.clock is None:
+        raise FlowError(f"{design.name}: no clock; cannot compute power")
+    freq_hz = 1e12 / design.clock.period_ps
+    vdd = design.library.node.vdd
+    node = design.library.node
 
     reports: List[PowerReport] = []
     for b, lane in enumerate(lanes):

@@ -8,25 +8,22 @@ order of the scalar ``_demand_map`` loop, bit for bit.  The overflow
 diffusion loop runs stacked ``(B, bins_y, bins_x)`` with per-lane iteration
 budgets and break conditions handled by masking lanes out of the stack (a
 converged lane is frozen, not padded).  Detour charging and layer promotion
-mutate net parasitics through the scalar helpers per lane, preserving their
-accumulation order exactly.
+update the lane's wire arrays with the scalar helpers' expressions: the
+per-net sub-view ``.mean()`` of the detour map, then the same length, cap
+and delay updates (``x ** 2`` kept as written) on the charged nets, and
+the 0.55 delay factor on the promoted ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.netlist.compiled import CompiledDesign, LaneState
 from repro.placement.congestion import congestion_summary
 from repro.placement.grid import PlacementGrid
-from repro.routing.groute import (
-    RouteParams,
-    RoutingResult,
-    _apply_layer_promotion,
-    _supply_per_bin,
-)
+from repro.routing.groute import RouteParams, RoutingResult, _supply_per_bin
 
 
 def _expand_rects(r0, r1, c0, c1):
@@ -68,36 +65,47 @@ def _demand_map_vec(
 
 
 def _charge_detours_fast(
-    netlist, grid, boxes, lengths, net_names, detour_map, demand
+    lane: LaneState, grid, boxes, lengths, nets, detour_map, demand
 ) -> None:
-    """``groute._charge_detours`` with the bin math hoisted out of the loop.
+    """``groute._charge_detours`` on the lane's wire arrays.
 
     The per-net sub-view ``.mean()`` stays exactly as the scalar helper
-    computes it (pairwise summation over the same view), so the charged
-    parasitics are bit-identical; only the clip/int bin arithmetic is batched.
+    computes it (pairwise summation over the same view), and the charged
+    nets' length, cap and delay follow its expressions, so the parasitics
+    are bit-identical; the clip/int bin arithmetic and the array writes are
+    batched.
     """
     if detour_map.sum() <= 0:
         return
-    node = netlist.library.node
+    node = lane.design.library.node
     safe_demand = np.maximum(demand, 1e-9)
     per_unit = detour_map / safe_demand
     if len(boxes) == 0:
         return
     r0, r1, c0, c1 = _rect_bins(grid, boxes)
     span = (r1 - r0 + 1) * (c1 - c0 + 1)
-    cap_per_um = node.wire_cap_ff_per_um
-    delay_k = 0.5 * node.wire_res_ohm_per_um * node.wire_cap_ff_per_um
-    for i, name in enumerate(net_names):
+    charged: List[int] = []
+    extras: List[float] = []
+    for i, (top, bottom, left, right) in enumerate(zip(
+        r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()
+    )):
         extra = float(
-            per_unit[r0[i]:r1[i] + 1, c0[i]:c1[i] + 1].mean()
+            per_unit[top:bottom + 1, left:right + 1].mean()
             * lengths[i] / span[i]
         )
-        if extra <= 0:
-            continue
-        net = netlist.nets[name]
-        net.wire_length_um += extra
-        net.wire_cap_ff = net.wire_length_um * cap_per_um
-        net.wire_delay_ps = delay_k * net.wire_length_um ** 2 / 1000.0
+        if extra > 0:
+            charged.append(i)
+            extras.append(extra)
+    if not charged:
+        return
+    index = nets[charged]
+    length = lane.wire_length[index] + np.array(extras)
+    delay_k = 0.5 * node.wire_res_ohm_per_um * node.wire_cap_ff_per_um
+    lane.wire_length[index] = length
+    lane.wire_cap[index] = length * node.wire_cap_ff_per_um
+    lane.wire_delay[index] = [
+        delay_k * value ** 2 / 1000.0 for value in length.tolist()
+    ]
 
 
 _SHIFTS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -136,18 +144,21 @@ def global_route_batch(
     lanes: Sequence[LaneState],
     grid: PlacementGrid,
     params_list: Sequence[RouteParams],
-    critical_nets_list: Sequence[Optional[Sequence[str]]],
+    critical_nets_list: Sequence[np.ndarray],
     seed: int = 0,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[RoutingResult]:
-    """Route every lane's netlist on ``grid``; updates parasitics in place."""
+    """Route every lane on ``grid``; updates its wire arrays in place.
+
+    ``critical_nets_list[b]`` holds lane ``b``'s critical data nets, worst
+    first, without repeats (``batch_runner._critical_nets``).
+    """
     B = len(lanes)
-    netlist0 = lanes[0].netlist
-    base_supply = _supply_per_bin(netlist0, grid)
+    base_supply = _supply_per_bin(design, grid)
     blockage_field = np.maximum(0.05, 1.0 - 0.8 * grid.blockage_fraction)
     pitch = 0.5 * (grid.bin_width_um + grid.bin_height_um)
 
-    promoted: List[Set[str]] = []
+    promoted: List[np.ndarray] = []
     geometries = []
     demand = np.empty((B, grid.bins_y, grid.bins_x))
     capacity = np.empty((B, grid.bins_y, grid.bins_x))
@@ -155,19 +166,17 @@ def global_route_batch(
         params = params_list[b]
         critical_nets = critical_nets_list[b]
         supply = base_supply
-        lane_promoted: Set[str] = set()
-        if critical_nets and params.layer_promotion > 0.0:
+        lane_promoted = critical_nets[:0]
+        if len(critical_nets) and params.layer_promotion > 0.0:
             budget = max(1, int(len(critical_nets) * min(0.3, params.layer_promotion)))
-            lane_promoted = set(list(critical_nets)[:budget])
+            lane_promoted = critical_nets[:budget]
             supply *= 1.0 - 0.08 * min(0.3, params.layer_promotion) * 10.0
         promoted.append(lane_promoted)
 
         # Candidate geometry: the compiled pin tables are static; only the
         # per-lane "wire_length_um <= 0" exclusion is dynamic.
-        pos = np.array(
-            [lane.netlist.cells[name].position for name in design.p_names]
-        )
-        wl = np.array([net.wire_length_um for net in lane.net_objs])
+        pos = lane.position
+        wl = lane.wire_length
         xs = pos[design.route_pin, 0]
         ys = pos[design.route_pin, 1]
         seg = design.route_seg
@@ -180,15 +189,12 @@ def global_route_batch(
             keep = cand_wl > 0
             boxes = np.column_stack([xmin, ymin, xmax, ymax])[keep]
             lengths = cand_wl[keep]
-            names = [
-                design.net_names[i]
-                for i in design.route_cand_net[keep].tolist()
-            ]
+            nets = design.route_cand_net[keep]
         else:
             boxes = np.zeros((0, 4))
             lengths = np.zeros(0)
-            names = []
-        geometries.append((boxes, lengths, names))
+            nets = np.zeros(0, dtype=np.int64)
+        geometries.append((boxes, lengths, nets))
         demand[b] = _demand_map_vec(grid, boxes, lengths)
         capacity[b] = supply * params.congestion_threshold * blockage_field
 
@@ -229,18 +235,14 @@ def global_route_batch(
     for b, lane in enumerate(lanes):
         residual = float(np.maximum(0.0, demand[b] - capacity[b]).sum())
         total_detour = float(detour_map[b].sum())
-        boxes, lengths, names = geometries[b]
+        boxes, lengths, nets = geometries[b]
         _charge_detours_fast(
-            lane.netlist, grid, boxes, lengths, names, detour_map[b], demand[b]
+            lane, grid, boxes, lengths, nets, detour_map[b], demand[b]
         )
-        _apply_layer_promotion(lane.netlist, promoted[b])
-        routed_total = sum(
-            net.wire_length_um
-            for net in lane.netlist.nets.values()
-            if not net.is_clock
-        )
+        # groute._apply_layer_promotion: upper layers cut wire delay 45%.
+        lane.wire_delay[promoted[b]] *= 0.55
+        routed_total = sum(lane.wire_length[: design.N].tolist())
         congestion_ratio = demand[b] / np.maximum(1e-9, capacity[b])
-        lane.refresh_wire_state()
         results.append(RoutingResult(
             overflow_total=residual,
             overflow_initial=initial_overflow[b],

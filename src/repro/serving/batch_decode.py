@@ -22,6 +22,7 @@ against :func:`repro.core.beam.beam_search_reference` on seeded models.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -33,6 +34,20 @@ from repro.serving.engine import InferenceEngine, step_log_probs
 
 # One int64 pack bit per recipe; the packs and their negations stay in range.
 MAX_RECIPES = 62
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an ``int`` >= 1; ``ValueError`` unless it is an
+    integer value (``2.0`` passes, ``2.5``, ``nan`` and ``"2"`` do not)."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return count
 
 
 def _as_insight_matrix(model: InsightAlignModel, insights) -> np.ndarray:
@@ -68,13 +83,11 @@ def batched_beam_search(
     insights = _as_insight_matrix(model, insights)
     requests = insights.shape[0]
     if np.isscalar(beam_widths):
-        widths = [int(beam_widths)] * requests
+        widths = [as_count(beam_widths, "beam width")] * requests
     else:
-        widths = [int(w) for w in beam_widths]
+        widths = [as_count(w, "beam width") for w in beam_widths]
     if len(widths) != requests:
         raise ValueError(f"{len(widths)} beam widths for {requests} requests")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"beam widths must be >= 1, got {widths}")
     n = model.n_recipes
     if n > MAX_RECIPES:
         raise ModelError(f"beam search packs at most {MAX_RECIPES} recipes, got {n}")
@@ -133,8 +146,10 @@ def batched_sample_decode(
     its own generator — the same consumption pattern as the reference
     single-request sampler, so seeded draws reproduce bit-identically.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(
+            f"temperature must be finite and positive, got {temperature}"
+        )
     insights = _as_insight_matrix(model, insights)
     requests = insights.shape[0]
     if len(rngs) != requests:

@@ -65,7 +65,11 @@ from repro.serving.cache import ResultCache, quantize_insight
 from repro.serving.registry import ModelRegistry, ModelSource
 from repro.serving.router import ROUTING_POLICIES, _hash64, router_for
 from repro.serving.scheduler import RequestStatus, ServingConfig
-from repro.serving.service import INITIAL_VERSION, RecommendationService
+from repro.serving.service import (
+    INITIAL_VERSION,
+    RecommendationService,
+    check_request,
+)
 
 #: Exit code of a chaos-killed replica (distinct from real crashes).
 KILL_EXIT_CODE = 23
@@ -613,7 +617,9 @@ class ServingCluster:
     ):
         """Serve one request; returns the recommendation list.
 
-        Raises :class:`OverloadedError` when admission sheds the arrival,
+        Raises what :meth:`RecommendationService.submit` raises for a
+        malformed ``k`` or insight (before any lookup or admission),
+        :class:`OverloadedError` when admission sheds the arrival,
         :class:`DeadlineExceededError` when the deadline passed before a
         replica could decode it.
         """
@@ -624,7 +630,8 @@ class ServingCluster:
         route_key = quantize_insight(insight, self.serving.insight_decimals)
         pinned, mirror = self._assignment(route_key)
         version = pinned or self._active_version
-        key = self.l2.key(version, insight, int(k))
+        insight, k = check_request(self.registry, version, insight, k)
+        key = self.l2.key(version, insight, k)
         cached = self.l2.get(key)
         if cached is not None:
             self._m_l2_hits.inc()
@@ -645,7 +652,7 @@ class ServingCluster:
             self._m_canary.inc()
             self._canary_requests += 1
         request = self._make_request(
-            insight, int(k), version, key, route_key, deadline_s
+            insight, k, version, key, route_key, deadline_s
         )
         self._outstanding += 1
         self._dispatch(request)

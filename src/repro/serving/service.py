@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.recommender import InsightAlign, Recommendation
 from repro.errors import ServingError
 from repro.observability import get_tracer
-from repro.serving.batch_decode import batched_beam_search
+from repro.serving.batch_decode import as_count, batched_beam_search
 from repro.serving.cache import ResultCache
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, ModelSource
@@ -46,6 +46,24 @@ from repro.serving.scheduler import (
 )
 
 INITIAL_VERSION = "v1"
+
+
+def check_request(registry: ModelRegistry, version: str, insight,
+                  k) -> tuple:
+    """Refuse a malformed request before any work is done for it.
+
+    Returns the insight as a float64 copy and ``k`` as an ``int``.  Raises
+    ``ValueError`` unless ``k`` is an integer value >= 1, and
+    :class:`ServingError` unless the insight is ``insight_dims`` finite
+    values for ``version``'s model.
+    """
+    k = as_count(k, "k")
+    insight = np.array(insight, dtype=np.float64)
+    dims = registry.resolve(version).model.insight_dims
+    if insight.shape != (dims,) or not np.isfinite(insight).all():
+        raise ServingError(f"insight of shape {insight.shape} is not "
+                           f"{dims} finite values for model {version!r}")
+    return insight, k
 
 
 class RecommendationService:
@@ -118,21 +136,15 @@ class RecommendationService:
                 hook.  ``None`` serves on whatever version is active at
                 dispatch time.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        insight = np.array(insight, dtype=np.float64)
         version = model_version or self.registry.active_version
-        dims = self.registry.resolve(version).model.insight_dims
-        if insight.shape != (dims,) or not np.isfinite(insight).all():
-            raise ServingError(f"insight of shape {insight.shape} is not "
-                               f"{dims} finite values for model {version!r}")
+        insight, k = check_request(self.registry, version, insight, k)
         now = self.clock()
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         ticket = Ticket(
             request_id=self._next_id,
             insight=insight,
-            k=int(k),
+            k=k,
             submitted_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,
             pinned_version=model_version,

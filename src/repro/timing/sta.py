@@ -18,7 +18,7 @@ tradeoff the clock-tree recipe family plays with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def run_sta(
     if graph is None:
         graph = build_timing_graph(netlist, delay_scale=delay_scale)
 
-    latency = _latency_lookup(netlist, clock_tree)
+    latency = _latency_lookup(clock_tree)
     useful = clock_tree.useful_skew_ps if clock_tree is not None else {}
 
     a_max: Dict[str, float] = {}
@@ -135,10 +135,17 @@ def run_sta(
         hold_slack[key] = a_min[net.driver] - constraints.hold_ps
 
     report = _summarize(setup_slack, hold_slack)
-    _trace_critical(
-        report, netlist, graph, pred_max, worst_driver_of, latency,
-        useful, unc, trace_paths,
+    cells = netlist.cells
+    trace = _trace_critical(
+        setup_slack,
+        lambda name: name in cells and cells[name].is_sequential,
+        lambda name: name in cells and cells[name].cell_type.is_weak,
+        pred_max, worst_driver_of, latency, useful, unc, trace_paths,
     )
+    report.critical_path = trace.critical_path
+    report.critical_launch_capture = trace.critical_launch_capture
+    report.harmful_skew_paths = trace.harmful_skew_paths
+    report.weak_cell_pct = trace.weak_cell_pct
     report.cell_slack_ps = _cell_slacks(
         netlist, graph, a_max, setup_slack, constraints, latency, useful
     )
@@ -187,53 +194,79 @@ def _cell_slacks(
     return slack
 
 
-def _latency_lookup(netlist: Netlist, clock_tree: Optional[ClockTree]):
+def _latency_lookup(clock_tree: Optional[ClockTree]):
     if clock_tree is None:
         return lambda name: 0.0
     table = clock_tree.latency_ps
     return lambda name: table.get(name, 0.0)
 
 
+def _slack_stats(setup: np.ndarray, hold: np.ndarray) -> Dict[str, float]:
+    """A report's summary fields from its endpoint setup and hold slacks
+    (1-D, in endpoint-dict order)."""
+    s_values = setup if setup.size else np.zeros(1)
+    h_values = hold if hold.size else np.zeros(1)
+    return {
+        "wns_ps": float(s_values.min()),
+        "tns_ps": float(np.maximum(0.0, -s_values).sum()),
+        "hold_wns_ps": float(h_values.min()),
+        "hold_tns_ps": float(np.maximum(0.0, -h_values).sum()),
+        "violating_endpoints": int((s_values < 0).sum()),
+        "hold_violating_endpoints": int((h_values < 0).sum()),
+        "endpoint_count": len(setup),
+    }
+
+
 def _summarize(
     setup_slack: Dict[str, float], hold_slack: Dict[str, float]
 ) -> TimingReport:
-    s_values = np.array(list(setup_slack.values())) if setup_slack else np.zeros(1)
-    h_values = np.array(list(hold_slack.values())) if hold_slack else np.zeros(1)
     return TimingReport(
-        wns_ps=float(s_values.min()),
-        tns_ps=float(np.maximum(0.0, -s_values).sum()),
-        hold_wns_ps=float(h_values.min()),
-        hold_tns_ps=float(np.maximum(0.0, -h_values).sum()),
-        violating_endpoints=int((s_values < 0).sum()),
-        hold_violating_endpoints=int((h_values < 0).sum()),
-        endpoint_count=len(setup_slack),
+        **_slack_stats(
+            np.array(list(setup_slack.values()), dtype=np.float64),
+            np.array(list(hold_slack.values()), dtype=np.float64),
+        ),
         endpoint_slack_ps=setup_slack,
         endpoint_hold_slack_ps=hold_slack,
     )
 
 
+class CriticalTrace(NamedTuple):
+    """The critical-path fields of a :class:`TimingReport`."""
+
+    critical_path: List[str]
+    critical_launch_capture: List[Tuple[str, str]]
+    harmful_skew_paths: int
+    weak_cell_pct: float
+
+
 def _trace_critical(
-    report: TimingReport,
-    netlist: Netlist,
-    graph: TimingGraph,
-    pred_max: Dict[str, Optional[str]],
-    worst_driver_of: Dict[str, Optional[str]],
+    endpoint_slack: Dict[str, float],
+    is_sequential: Callable[[str], bool],
+    is_weak: Callable[[str], bool],
+    pred_max,
+    worst_driver_of,
     latency,
     useful: Dict[str, float],
     uncertainty_ps: float,
     trace_paths: int,
-) -> None:
+) -> CriticalTrace:
     """Trace the worst ``trace_paths`` endpoints back to their launch flop.
 
-    Populates the critical-path diagnostics the insight analyzers read:
+    Computes the critical-path diagnostics the insight analyzers read:
     weak-cell percentage on critical paths and harmful-skew path count.
+    ``pred_max`` / ``worst_driver_of`` map a cell / endpoint to its worst
+    driver (``.get``); ``is_sequential`` and ``is_weak`` classify a cell by
+    name, so the stacked engine traces from lane arrays and the scalar STA
+    from its netlist through this one function.
     """
     reg_endpoints = [
-        (slack, name) for name, slack in report.endpoint_slack_ps.items()
+        (slack, name) for name, slack in endpoint_slack.items()
         if not name.startswith("PO:")
     ]
     reg_endpoints.sort()
     path_cells: List[str] = []
+    critical_path: List[str] = []
+    launch_capture: List[Tuple[str, str]] = []
     harmful = 0
     for slack, endpoint in reg_endpoints[:trace_paths]:
         cursor = worst_driver_of.get(endpoint)
@@ -242,18 +275,16 @@ def _trace_critical(
             chain.append(cursor)
             cursor = pred_max.get(cursor)
         launch = chain[-1]
-        if netlist.cells.get(launch) is not None and netlist.cells[launch].is_sequential:
-            report.critical_launch_capture.append((launch, endpoint))
+        if is_sequential(launch):
+            launch_capture.append((launch, endpoint))
             skew = (latency(endpoint) + useful.get(endpoint, 0.0)) - latency(launch)
             if skew < -uncertainty_ps:
                 harmful += 1
         path_cells.extend(chain)
-        if not report.critical_path:
-            report.critical_path = list(reversed(chain))
-    report.harmful_skew_paths = harmful
+        if not critical_path:
+            critical_path = list(reversed(chain))
+    weak_pct = 0.0
     if path_cells:
-        weak = sum(
-            1 for name in path_cells
-            if name in netlist.cells and netlist.cells[name].cell_type.is_weak
-        )
-        report.weak_cell_pct = 100.0 * weak / len(path_cells)
+        weak = sum(1 for name in path_cells if is_weak(name))
+        weak_pct = 100.0 * weak / len(path_cells)
+    return CriticalTrace(critical_path, launch_capture, harmful, weak_pct)

@@ -27,6 +27,7 @@ import math
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import tiny_profile
@@ -40,8 +41,13 @@ from repro.flow.parameters import (
     RouteParams,
     TradeoffWeights,
 )
-from repro.flow.runner import fresh_netlists, run_flow
-from repro.netlist.compiled import CompiledDesign, LaneState
+from repro.flow.runner import (
+    clear_netlist_cache,
+    design_template,
+    netlist_cache_info,
+    run_flow,
+    set_netlist_cache_limit,
+)
 from repro.netlist.profiles import design_profiles
 from repro.observability import (
     InMemoryExporter,
@@ -51,6 +57,8 @@ from repro.observability import (
     set_tracer,
 )
 from repro.placement.batch import _placer_slots, place_batch
+from repro.recipes.apply import apply_recipe_set
+from repro.recipes.catalog import default_catalog
 from repro.runtime import (
     FaultKind,
     FaultPlan,
@@ -238,6 +246,103 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Hold-fix divergence: a lane whose buffers splice leaves the shared design.
+# ----------------------------------------------------------------------
+def _recipe_params(*names):
+    """FlowParameters of the catalog recipe set holding ``names``."""
+    catalog = default_catalog()
+    bits = [0] * len(catalog)
+    for name in names:
+        bits[catalog.index_of(name)] = 1
+    return apply_recipe_set(bits, catalog)
+
+
+# D13 at netlist seed 1: both useful-skew singletons splice 3 hold
+# buffers, so their lanes are recompiled as width-1 designs mid-stack.
+DIVERGING_STACK = (
+    ("cts_useful_skew",), ("cts_useful_skew_max",), (), ("cts_tight_skew",),
+)
+DIVERGING_HOLD_FIXES = (3.0, 3.0, 0.0, 0.0)
+
+
+def _template_bytes(template):
+    """Every array of a template's design and pristine lane, as bytes."""
+    arrays = {}
+    for owner, prefix in ((template.design, "design"),
+                          (template.design.table, "table"),
+                          (template.lane, "lane")):
+        for key, value in vars(owner).items():
+            if isinstance(value, np.ndarray):
+                arrays[f"{prefix}.{key}"] = value.tobytes()
+    for k, level in enumerate(template.design.levels):
+        for key, value in level.items():
+            arrays[f"level{k}.{key}"] = value.tobytes()
+    return arrays
+
+
+class TestDivergedLanes:
+    def test_diverging_stack_matches_scalar(self):
+        jobs = [("D13", _recipe_params(*names), 1) for names in DIVERGING_STACK]
+        template = design_template("D13", 1)
+        before = _template_bytes(template)
+        gots = run_flow_batch(jobs)
+        for i, ((design, params, seed), got) in enumerate(zip(jobs, gots)):
+            ref = run_flow(design, params, seed=seed)
+            assert_results_identical(ref, got, f"diverging[{i}]")
+        assert tuple(got.qor["hold_fix_count"] for got in gots) == \
+            DIVERGING_HOLD_FIXES
+        assert design_template("D13", 1) is template
+        assert _template_bytes(template) == before
+
+    def test_template_arrays_are_read_only(self):
+        lane = design_template(tiny_profile(), 0).lane
+        with pytest.raises(ValueError):
+            lane.wire_delay[0] = 1.0
+        with pytest.raises(ValueError):
+            lane.variant[0] = 0
+
+
+class TestDesignTemplateCache:
+    def test_stacks_share_one_compiled_design(self, monkeypatch):
+        import repro.netlist.compiled as compiled
+
+        clear_netlist_cache()
+        compiles = []
+        original = compiled.CompiledDesign.__init__
+
+        def counting(self, netlist):
+            compiles.append(netlist.name)
+            original(self, netlist)
+
+        monkeypatch.setattr(compiled.CompiledDesign, "__init__", counting)
+        jobs = [(tiny_profile(), RECIPES[n], 0) for n in RECIPE_NAMES]
+        first = run_flow_batch(jobs)
+        template = design_template(tiny_profile(), 0)
+        second = run_flow_batch(jobs)
+        assert len(compiles) == 1
+        assert design_template(tiny_profile(), 0) is template
+        assert [pickle.dumps(r, 5) for r in first] == \
+            [pickle.dumps(r, 5) for r in second]
+
+        clear_netlist_cache()
+        assert design_template(tiny_profile(), 0) is not template
+        assert len(compiles) == 2
+
+    def test_template_evicted_with_its_netlist(self):
+        previous = set_netlist_cache_limit(32)
+        try:
+            clear_netlist_cache()
+            old = design_template(tiny_profile(name="E0"), 0)
+            set_netlist_cache_limit(1)
+            design_template(tiny_profile(name="E1"), 0)  # evicts E0
+            assert netlist_cache_info()["size"] == 1
+            assert design_template(tiny_profile(name="E0"), 0) is not old
+        finally:
+            set_netlist_cache_limit(previous)
+            clear_netlist_cache()
+
+
+# ----------------------------------------------------------------------
 # Placement twins: lanes with bit-identical PlacerParams place once.
 # ----------------------------------------------------------------------
 PLACER_A = PlacerParams(effort=1.1, spread_strength=1.3)
@@ -267,12 +372,11 @@ class TestPlacementTwins:
     @pytest.fixture
     def placed(self):
         """``place_batch`` on the twin stack: lanes, results, stats."""
-        netlists = fresh_netlists(tiny_profile(), 0, len(TWIN_STACK))
-        design = CompiledDesign(netlists[0])
-        lanes = [LaneState(design, netlist) for netlist in netlists]
+        template = design_template(tiny_profile(), 0)
+        lanes = template.lanes(len(TWIN_STACK))
         stats = {}
         results = place_batch(
-            design, lanes, [p.placer for p in TWIN_STACK], seed=0,
+            template.design, lanes, [p.placer for p in TWIN_STACK], seed=0,
             stats=stats,
         )
         return lanes, results, stats
@@ -286,22 +390,31 @@ class TestPlacementTwins:
             ref = run_flow(design, params, seed=seed)
             assert_results_identical(ref, got, f"twin stack[{i}]")
 
-    def test_twins_share_no_netlist_objects(self, placed):
+    def test_twins_share_no_lane_arrays(self, placed):
+        """Twin lanes hold equal values in private arrays: no array is
+        shared with a twin or with the template, and a write into one
+        lane leaves its twins as they were."""
         lanes, _, stats = placed
         assert stats["placement_twins"] == 2
+        fields = ("position", "variant", "wire_length", "wire_cap",
+                  "wire_delay", "intrinsic", "cap_ext")
+        pristine = design_template(tiny_profile(), 0).lane
         for a, b in itertools.combinations(A_LANES, 2):
-            one, two = lanes[a].netlist, lanes[b].netlist
-            assert not {id(c) for c in one.cells.values()} & \
-                {id(c) for c in two.cells.values()}
-            assert not {id(n) for n in one.nets.values()} & \
-                {id(n) for n in two.nets.values()}
-            for name in lanes[a].design.p_names:
-                mine, theirs = one.cells[name].position, two.cells[name].position
-                assert mine == theirs and mine is not theirs
-            assert [n.wire_length_um for n in one.nets.values()] == \
-                [n.wire_length_um for n in two.nets.values()]
-            assert lanes[a].wire_cap is not lanes[b].wire_cap
-            assert lanes[a].wire_cap.tobytes() == lanes[b].wire_cap.tobytes()
+            for field in fields:
+                mine, theirs = getattr(lanes[a], field), getattr(lanes[b], field)
+                assert not np.shares_memory(mine, theirs), field
+                assert mine.tobytes() == theirs.tobytes(), field
+        for lane in lanes:
+            for field in ("variant", "wire_length", "wire_cap", "wire_delay"):
+                assert not np.shares_memory(
+                    getattr(lane, field), getattr(pristine, field)
+                ), field
+        first, *twins = [lanes[i] for i in A_LANES]
+        before = [twin.wire_delay.tobytes() for twin in twins]
+        first.wire_delay[:] = -1.0
+        first.position[:] = -1.0
+        assert [twin.wire_delay.tobytes() for twin in twins] == before
+        assert all((twin.position >= 0.0).all() for twin in twins)
 
     def test_twin_results_are_independent(self, placed):
         _, results, _ = placed

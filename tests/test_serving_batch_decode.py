@@ -253,3 +253,32 @@ class TestBatchedGreedyAndSampling:
     def test_sampling_rng_count_mismatch_raises(self, model, insights):
         with pytest.raises(ValueError):
             batched_sample_decode(model, insights, [derive_rng(0, "x")])
+
+
+class TestDecodeArgumentChecks:
+    """Malformed widths and temperatures are refused before decoding."""
+
+    @pytest.mark.parametrize(
+        "temperature", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_sampling_refuses_bad_temperature(self, model, insights,
+                                              temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            sample_decode(model, insights[0], derive_rng(0, "t"),
+                          temperature=temperature)
+        with pytest.raises(ValueError, match="temperature"):
+            batched_sample_decode(model, insights[:2],
+                                  [derive_rng(i, "t") for i in range(2)],
+                                  temperature=temperature)
+
+    @pytest.mark.parametrize("width", [2.5, float("nan"), "2", 0, -1])
+    def test_beam_search_refuses_non_integer_width(self, model, insights,
+                                                   width):
+        with pytest.raises(ValueError, match="beam width"):
+            beam_search(model, insights[0], beam_width=width)
+        with pytest.raises(ValueError, match="beam width"):
+            batched_beam_search(model, insights[:2], beam_widths=[2, width])
+
+    def test_integer_valued_width_accepted(self, model, insights):
+        assert batched_beam_search(model, insights[:1], 2.0) == \
+            batched_beam_search(model, insights[:1], 2)

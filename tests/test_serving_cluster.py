@@ -226,6 +226,35 @@ class TestClusterEquivalence:
         assert recipe_sets(results) == recipe_sets(reference)
 
 
+class TestMalformedRequests:
+    """The gateway refuses a malformed request before its L2 lookup and
+    admission, with the error a single service raises."""
+
+    @pytest.mark.parametrize(
+        "k,insight,error",
+        [(0, None, ValueError), (-3, None, ValueError),
+         (2.5, None, ValueError),
+         (3, np.zeros(INSIGHT_DIMS - 1), ServingError),
+         (3, np.full(INSIGHT_DIMS, np.nan), ServingError)],
+        ids=["k=0", "k=-3", "k=2.5", "short-insight", "nan-insight"],
+    )
+    def test_refused_before_admission(self, k, insight, error):
+        if insight is None:
+            insight = insight_vectors(1)[0]
+        cluster = ServingCluster(
+            make_model(),
+            ClusterConfig(replicas=1, backend="inline", shed_watermark=8),
+            ServingConfig(max_batch_size=4, max_wait_s=0.0),
+        )
+        try:
+            with pytest.raises(error):
+                cluster.serve_all([insight], k=k)
+            stats = cluster.stats()
+        finally:
+            cluster.close()
+        assert stats["admission"]["admitted"] == 0
+
+
 class TestLoadShedding:
     def test_zero_sheds_below_watermark(self):
         cluster = ServingCluster(

@@ -194,6 +194,16 @@ class TestMalformedRequests:
         assert ticket.status is RequestStatus.COMPLETED
 
 
+    @pytest.mark.parametrize("k", [2.5, float("nan"), "2", 0, -3])
+    def test_non_integer_k_refused_before_queueing(self, recommender, clock,
+                                                   k):
+        service = make_service(recommender, clock)
+        with pytest.raises(ValueError, match="k must be"):
+            service.submit(insight_vectors(1)[0], k=k)
+        assert service.queue_depth == 0
+        assert service.stats()["requests"]["submitted"] == 0
+
+
 def test_negative_cache_capacity_is_a_serving_error():
     with pytest.raises(ServingError):
         ServingConfig(cache_capacity=-1)
