@@ -270,19 +270,26 @@ class AlignmentTrainer:
 
     # ------------------------------------------------------------------
     def _prepare(self, dataset: OfflineDataset, intention: QoRIntention):
-        """Per-design arrays: insight, recipe matrix, score vector."""
+        """Per-design arrays: insight, recipe matrix, score vector.
+
+        Raises:
+            TrainingError: If a design's insight vector or scores hold a
+                NaN or an infinity, which would train an all-NaN model.
+        """
         per_design = {}
         for design in dataset.designs():
             points = dataset.by_design(design)
             recipe_matrix = np.array(
                 [p.recipe_set for p in points], dtype=np.int64
             )
+            insight = dataset.insight_for(design)
             scores = dataset.scores_for(design, intention)
-            per_design[design] = (
-                dataset.insight_for(design),
-                recipe_matrix,
-                scores,
-            )
+            if not (np.isfinite(insight).all() and np.isfinite(scores).all()):
+                raise TrainingError(
+                    f"design {design!r} has a non-finite insight vector or "
+                    "QoR score"
+                )
+            per_design[design] = (insight, recipe_matrix, scores)
         return per_design
 
     def _epoch_batches(self, per_design, rng):
@@ -347,7 +354,11 @@ class AlignmentTrainer:
             loss = loss - logp_w.mean() * self.config.bc_anchor_weight
         optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(model.parameters(), self.config.grad_clip)
+        norm = clip_grad_norm(model.parameters(), self.config.grad_clip)
+        if not np.isfinite(norm):
+            # Refused before the step: no NaN reaches the weights, the Adam
+            # moments or a checkpoint.
+            raise TrainingError(f"gradient norm is {norm}; step refused")
         optimizer.step()
         correct = int((gap.numpy() > 0).sum())
         return float(hinge.mean().item()), correct

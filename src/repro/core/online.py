@@ -614,7 +614,9 @@ class OnlineFineTuner:
         loss = loss / float(pairs + len(ppo_rows))
         optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(model.parameters(), cfg.grad_clip)
+        norm = clip_grad_norm(model.parameters(), cfg.grad_clip)
+        if not np.isfinite(norm):
+            raise TrainingError(f"gradient norm is {norm}; update refused")
         optimizer.step()
 
     def _record(

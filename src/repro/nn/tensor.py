@@ -1,11 +1,24 @@
 """Reverse-mode autograd over numpy arrays.
 
-A small tape-based engine: every operation records its parents and a local
-backward closure; :meth:`Tensor.backward` topologically sorts the tape and
-accumulates gradients.  Broadcasting is handled by summing gradients over
-broadcast axes (``_unbroadcast``).  Only float64 arrays are supported — the
-model is tiny, precision beats speed here, and float64 makes the
-finite-difference gradient checks in the test suite tight.
+A small tape-based engine that keeps the graph apart from the values.  Each
+op records a :class:`_Node` whose ``edges`` pair every *tracked* input's
+tape entry with a backward closure mapping the op's output gradient to that
+input's.  A tensor's tape entry is the node of the op that made it, or the
+tensor itself if it is a leaf that requires grad; an op whose inputs are
+all untracked records nothing.  A closure captures only the arrays its own
+formula reads (shapes, masks, the other operand, its output), never a
+``Tensor``, so no node refers back to a value: an intermediate whose array
+no closure captured is freed as soon as the forward stops referencing it,
+and a graph holds only what its backward will read.
+
+:meth:`Tensor.backward` visits the entries depth-first in parent order and
+sums each entry's gradient contributions in the reverse of that order.
+The order fixes how every tensor's contributions are associated, so it is
+part of the engine's output: reordering the walk would move gradients, and
+trained weights, at the last bits.  Broadcasting is handled by summing
+gradients over broadcast axes (``_unbroadcast``).  Only float64 arrays are
+supported — the model is tiny, precision beats speed here, and float64
+makes the finite-difference gradient checks in the test suite tight.
 """
 
 from __future__ import annotations
@@ -31,6 +44,30 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """One recorded op: ``(parent entry, backward closure)`` per tracked input."""
+
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: Tuple[Tuple[object, Callable], ...]) -> None:
+        self.edges = edges
+
+
+def _visit(entry, order: list, visited: set) -> None:
+    """Depth-first postorder over the tape, parents in recorded order.
+
+    A module function on purpose: a recursive closure would be a reference
+    cycle holding ``order``, so every graph would wait for the cyclic GC.
+    """
+    if id(entry) in visited:
+        return
+    visited.add(id(entry))
+    if isinstance(entry, _Node):
+        for parent, _ in entry.edges:
+            _visit(parent, order, visited)
+    order.append(entry)
+
+
 class Tensor:
     """An autograd-tracked numpy array.
 
@@ -40,14 +77,12 @@ class Tensor:
         requires_grad: Whether this tensor participates in autograd.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ) -> None:
         if isinstance(data, Tensor):
@@ -55,8 +90,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        self._node: Optional[_Node] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -90,6 +124,12 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph machinery
     # ------------------------------------------------------------------
+    def _entry(self):
+        """Tape entry: the op's node, this leaf if it requires grad, or None."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else None
+
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor; scalar outputs default grad=1."""
         if grad is None:
@@ -98,30 +138,24 @@ class Tensor:
                     f"backward() without grad on non-scalar tensor {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        order: List[Tensor] = []
-        visited = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
-        grads = {id(self): np.asarray(grad, dtype=np.float64)}
-        for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
+        root = self._entry()
+        if root is None:
+            return
+        order: List[object] = []
+        _visit(root, order, set())
+        grads = {id(root): np.asarray(grad, dtype=np.float64)}
+        for entry in reversed(order):
+            node_grad = grads.pop(id(entry), None)
             if node_grad is None:
                 continue
-            if node.requires_grad:
-                node.grad = node_grad if node.grad is None else node.grad + node_grad
-            if node._backward is None:
+            if isinstance(entry, Tensor):
+                if entry.requires_grad:
+                    entry.grad = (
+                        node_grad if entry.grad is None else entry.grad + node_grad
+                    )
                 continue
-            for parent, pgrad in node._backward(node_grad):
-                if not (parent.requires_grad or parent._parents):
-                    continue
+            for parent, grad_fn in entry.edges:
+                pgrad = grad_fn(node_grad)
                 key = id(parent)
                 grads[key] = pgrad if key not in grads else grads[key] + pgrad
 
@@ -137,23 +171,17 @@ class Tensor:
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data + other.data
-
-        def backward(grad):
-            return (
-                (self, _unbroadcast(grad, self.shape)),
-                (other, _unbroadcast(grad, other.shape)),
-            )
-
-        return Tensor(out_data, _parents=(self, other), _backward=backward)
+        sa, sb = self.shape, other.shape
+        return _record(
+            self.data + other.data,
+            (self, lambda grad: _unbroadcast(grad, sa)),
+            (other, lambda grad: _unbroadcast(grad, sb)),
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad):
-            return ((self, -grad),)
-
-        return Tensor(-self.data, _parents=(self,), _backward=backward)
+        return _record(-self.data, (self, lambda grad: -grad))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._lift(other))
@@ -163,80 +191,76 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data * other.data
-
-        def backward(grad):
-            return (
-                (self, _unbroadcast(grad * other.data, self.shape)),
-                (other, _unbroadcast(grad * self.data, other.shape)),
-            )
-
-        return Tensor(out_data, _parents=(self, other), _backward=backward)
+        a, b = self.data, other.data
+        sa, sb = a.shape, b.shape
+        return _record(
+            a * b,
+            (self, lambda grad: _unbroadcast(grad * b, sa)),
+            (other, lambda grad: _unbroadcast(grad * a, sb)),
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data / other.data
-
-        def backward(grad):
-            return (
-                (self, _unbroadcast(grad / other.data, self.shape)),
-                (other, _unbroadcast(-grad * self.data / other.data ** 2, other.shape)),
-            )
-
-        return Tensor(out_data, _parents=(self, other), _backward=backward)
+        a, b = self.data, other.data
+        sa, sb = a.shape, b.shape
+        return _record(
+            a / b,
+            (self, lambda grad: _unbroadcast(grad / b, sa)),
+            (other, lambda grad: _unbroadcast(-grad * a / b ** 2, sb)),
+        )
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._lift(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
-        def backward(grad):
-            return ((self, grad * exponent * self.data ** (exponent - 1)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        a = self.data
+        return _record(
+            a ** exponent,
+            (self, lambda grad: grad * exponent * a ** (exponent - 1)),
+        )
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data @ other.data
+        a, b = self.data, other.data
+        sa, sb = a.shape, b.shape
 
-        def backward(grad):
-            a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                ga, gb = grad * b, grad * a
-            elif a.ndim == 1:
-                ga = grad @ np.swapaxes(b, -1, -2)
-                gb = np.outer(a, grad) if b.ndim == 2 else a[:, None] * grad[..., None, :]
-            elif b.ndim == 1:
+        def grad_a(grad):
+            if len(sa) == 1 and len(sb) == 1:
+                ga = grad * b
+            elif len(sb) == 1:
                 ga = np.expand_dims(grad, -1) @ np.expand_dims(b, 0)
-                gb = np.swapaxes(a, -1, -2) @ grad
-                if gb.ndim > 1:
-                    gb = gb.reshape(b.shape + (-1,)).sum(axis=-1) if gb.shape != b.shape else gb
             else:
                 ga = grad @ np.swapaxes(b, -1, -2)
-                gb = np.swapaxes(a, -1, -2) @ grad
-            return (
-                (self, _unbroadcast(np.asarray(ga), self.shape)),
-                (other, _unbroadcast(np.asarray(gb), other.shape)),
-            )
+            return _unbroadcast(np.asarray(ga), sa)
 
-        return Tensor(out_data, _parents=(self, other), _backward=backward)
+        def grad_b(grad):
+            if len(sa) == 1 and len(sb) == 1:
+                gb = grad * a
+            elif len(sa) == 1:
+                gb = np.outer(a, grad) if len(sb) == 2 else a[:, None] * grad[..., None, :]
+            else:
+                gb = np.swapaxes(a, -1, -2) @ grad
+                if len(sb) == 1 and gb.ndim > 1:
+                    gb = gb.reshape(sb + (-1,)).sum(axis=-1) if gb.shape != sb else gb
+            return _unbroadcast(np.asarray(gb), sb)
+
+        return _record(a @ b, (self, grad_a), (other, grad_b))
 
     # ------------------------------------------------------------------
     # Reductions & elementwise
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.shape
 
         def backward(grad):
             g = np.asarray(grad)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return ((self, np.broadcast_to(g, self.shape).copy()),)
+            return np.broadcast_to(g, shape).copy()
 
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(self.data.sum(axis=axis, keepdims=keepdims), (self, backward))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -244,95 +268,53 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-
-        def backward(grad):
-            return ((self, grad * out_data),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(out_data, (self, lambda grad: grad * out_data))
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            return ((self, grad / self.data),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        a = self.data
+        return _record(np.log(a), (self, lambda grad: grad / a))
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return ((self, grad * (1.0 - out_data ** 2)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(out_data, (self, lambda grad: grad * (1.0 - out_data ** 2)))
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad):
-            return ((self, grad * out_data * (1.0 - out_data)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(
+            out_data, (self, lambda grad: grad * out_data * (1.0 - out_data))
+        )
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad):
-            return ((self, grad * mask),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(self.data * mask, (self, lambda grad: grad * mask))
 
     def clip_min(self, floor: float) -> "Tensor":
         """max(self, floor) — used for hinge losses."""
         mask = self.data > floor
-        out_data = np.where(mask, self.data, floor)
-
-        def backward(grad):
-            return ((self, grad * mask),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(
+            np.where(mask, self.data, floor), (self, lambda grad: grad * mask)
+        )
 
     # ------------------------------------------------------------------
     # Shape ops
     # ------------------------------------------------------------------
     def reshape(self, *shape: int) -> "Tensor":
-        out_data = self.data.reshape(shape)
-
-        def backward(grad):
-            return ((self, grad.reshape(self.shape)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        own = self.shape
+        return _record(self.data.reshape(shape), (self, lambda grad: grad.reshape(own)))
 
     def transpose(self, axis_a: int = -1, axis_b: int = -2) -> "Tensor":
-        out_data = np.swapaxes(self.data, axis_a, axis_b)
-
-        def backward(grad):
-            return ((self, np.swapaxes(grad, axis_a, axis_b)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(
+            np.swapaxes(self.data, axis_a, axis_b),
+            (self, lambda grad: np.swapaxes(grad, axis_a, axis_b)),
+        )
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
-
-        def backward(grad):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, grad)
-            return ((self, full),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(self.data[key], (self, _scatter_add(self.data, key)))
 
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Row gather (embedding lookup): returns ``self[indices]``."""
         indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
-
-        def backward(grad):
-            full = np.zeros_like(self.data)
-            np.add.at(full, indices, grad)
-            return ((self, full),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(self.data[indices], (self, _scatter_add(self.data, indices)))
 
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -341,39 +323,39 @@ class Tensor:
         sizes = [a.shape[axis] for a in arrays]
         offsets = np.cumsum([0] + sizes)
 
-        def backward(grad):
-            outs = []
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        def piece(start, stop):
+            def backward(grad):
                 slicer = [slice(None)] * grad.ndim
                 slicer[axis] = slice(start, stop)
-                outs.append((tensor, grad[tuple(slicer)]))
-            return tuple(outs)
+                return grad[tuple(slicer)]
 
-        return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
+            return backward
+
+        return _record(
+            out_data,
+            *((t, piece(start, stop))
+              for t, start, stop in zip(tensors, offsets[:-1], offsets[1:])),
+        )
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        arrays = [t.data for t in tensors]
-        out_data = np.stack(arrays, axis=axis)
+        out_data = np.stack([t.data for t in tensors], axis=axis)
+        count = len(tensors)
 
-        def backward(grad):
-            pieces = np.split(grad, len(tensors), axis=axis)
-            return tuple(
-                (tensor, np.squeeze(piece, axis=axis))
-                for tensor, piece in zip(tensors, pieces)
+        def piece(index):
+            return lambda grad: np.squeeze(
+                np.split(grad, count, axis=axis)[index], axis=axis
             )
 
-        return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
+        return _record(out_data, *((t, piece(i)) for i, t in enumerate(tensors)))
 
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Replace positions where ``mask`` is True with ``value``."""
         mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, value, self.data)
-
-        def backward(grad):
-            return ((self, np.where(mask, 0.0, grad)),)
-
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(
+            np.where(mask, value, self.data),
+            (self, lambda grad: np.where(mask, 0.0, grad)),
+        )
 
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -382,17 +364,46 @@ class Tensor:
 
         def backward(grad):
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            return ((self, out_data * (grad - dot)),)
+            return out_data * (grad - dot)
 
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+        return _record(out_data, (self, backward))
 
     def log_sigmoid(self) -> "Tensor":
         """Numerically-stable log(sigmoid(x))."""
         x = self.data
         out_data = np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
         sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        return _record(out_data, (self, lambda grad: grad * (1.0 - sig)))
 
-        def backward(grad):
-            return ((self, grad * (1.0 - sig)),)
 
-        return Tensor(out_data, _parents=(self,), _backward=backward)
+def _scatter_add(source: np.ndarray, key) -> Callable[[np.ndarray], np.ndarray]:
+    """Backward of ``source[key]``: the gradient added into zeros like ``source``.
+
+    Captures ``source`` itself, not just its shape: ``zeros_like`` keeps its
+    memory layout, on which the summation order of later reductions depends.
+    """
+
+    def backward(grad):
+        full = np.zeros_like(source)
+        np.add.at(full, key, grad)
+        return full
+
+    return backward
+
+
+def _record(out_data: np.ndarray, *edges: Tuple[Tensor, Callable]) -> Tensor:
+    """Wrap an op's result, recording a node over its tracked inputs.
+
+    ``edges`` pairs each input with its backward closure; an untracked
+    input is dropped together with its closure (and whatever it captured),
+    and an op left with no tracked input records nothing.
+    """
+    kept = []
+    for tensor, backward in edges:
+        entry = tensor._entry()
+        if entry is not None:
+            kept.append((entry, backward))
+    out = Tensor(out_data)
+    if kept:
+        out._node = _Node(tuple(kept))
+    return out

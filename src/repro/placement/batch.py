@@ -28,6 +28,11 @@ the scalar placer would.  The final positions and the scalar
 ``_annotate_wirelengths`` values (Steiner length, wire cap and delay per
 data net, default length 2.0 for nets outside the placer) are written into
 the lane arrays with the same expressions, the total as a left fold.
+
+Per-axis constants (bin pitch, last bin, die bounds, cell and net weights)
+enter the loop as arrays of the operand's full shape: numpy runs a
+trailing ``(2,)`` broadcast two elements per inner loop, while a
+same-shape operand runs the whole array, with the same elementwise results.
 """
 
 from __future__ import annotations
@@ -187,6 +192,23 @@ class _StackIndex:
             np.arange(slots)[:, None] * ((self.bins_y + 1) * self.diff_width)
         )
         self.supply = bin_supply(grid, supply_um_per_bin)
+        # Hoisted from ``grid.density_of``: constant over the whole loop.
+        self.free_area = grid.free_area()
+        self.blockage_bump = grid.blockage_bump()
+        self._tables: Dict[Tuple[str, tuple], np.ndarray] = {}
+
+    def _full(self, name: str, like: np.ndarray) -> np.ndarray:
+        """The ``(2,)`` pair ``self.<name>`` spread to ``like``'s shape.
+
+        Sized from the operand, not the design: a cached table per trailing
+        shape, rebuilt when a taller operand arrives, serves a row prefix.
+        """
+        key = (name, like.shape[1:])
+        table = self._tables.get(key)
+        if table is None or len(table) < len(like):
+            table = np.broadcast_to(getattr(self, name), like.shape).copy()
+            self._tables[key] = table
+        return table[: len(like)]
 
     def pin_xy(self, positions: np.ndarray) -> np.ndarray:
         """Flat (slot, pin, dim) coordinates of a contiguous stack."""
@@ -227,13 +249,19 @@ class _StackIndex:
 
     def bin_xy(self, xy: np.ndarray) -> np.ndarray:
         """``grid.bin_indices`` of an ``(..., 2)`` array: (col, row) pairs."""
-        cell = (xy / self.pitch).astype(np.int64)
-        return np.minimum(np.maximum(cell, 0), self.last_bin)
+        cell = (xy / self._full("pitch", xy)).astype(np.int64)
+        np.maximum(cell, 0, out=cell)
+        return np.minimum(cell, self._full("last_bin", xy), out=cell)
 
     def bins(self, xy: np.ndarray) -> np.ndarray:
         """Flat ``row * bins_x + col`` bin of each point of ``(h, n, 2)``."""
         cell = self.bin_xy(xy)
         return cell[..., 1] * self.bins_x + cell[..., 0]
+
+    def density(self, positions: np.ndarray) -> np.ndarray:
+        """``grid.density_of(self.used_area(positions))`` with its free
+        area and blockage bump hoisted out of the loop."""
+        return self.used_area(positions) / self.free_area + self.blockage_bump
 
     def used_area(self, positions: np.ndarray) -> np.ndarray:
         """Cell area per bin of a contiguous stack: ``(h, bins_y, bins_x)``."""
@@ -268,6 +296,20 @@ class _StackIndex:
         ).reshape(h, self.bins_y + 1, self.diff_width)
         demand = diff.cumsum(axis=1).cumsum(axis=2)[:, : self.bins_y, : self.bins_x]
         return demand / self.supply
+
+
+def _unit_gradient(f: np.ndarray, axis: int) -> np.ndarray:
+    """``np.gradient(f, axis=axis)`` at unit spacing, written as slices:
+    the same central differences inside and one-sided edges (numpy divides
+    the edges by 1.0, which is exact), without its per-call overhead."""
+    lead = (slice(None),) * axis
+    out = np.empty_like(f)
+    inner = out[lead + (slice(1, -1),)]
+    np.subtract(f[lead + (slice(2, None),)], f[lead + (slice(None, -2),)], out=inner)
+    inner /= 2.0
+    np.subtract(f[lead + (1,)], f[lead + (0,)], out=out[lead + (0,)])
+    np.subtract(f[lead + (-1,)], f[lead + (-2,)], out=out[lead + (-1,)])
+    return out
 
 
 def _iterations(params: PlacerParams) -> int:
@@ -347,9 +389,13 @@ def place_batch(
         (np.arange(U)[:, None] * n + design.pin_cell).ravel(),
         weights=pin_weights.ravel(), minlength=U * n,
     ).reshape(U, n)
-    cell_weight_sums = np.maximum(cell_weight_sums, 1e-9)[:, :, None]
+    cell_weight_sums = np.repeat(
+        np.maximum(cell_weight_sums, 1e-9)[:, :, None], 2, axis=2
+    )
     pin_weights = np.repeat(pin_weights, 2, axis=1).ravel()  # x, y interleaved
-    inv_net_sizes = (1.0 / np.maximum(1, design.p_net_sizes))[:, None]
+    inv_net_sizes = np.repeat(
+        (1.0 / np.maximum(1, design.p_net_sizes))[:, None], 2, axis=1
+    )
     density_targets = np.array([p.density_target for p in params])[:, None, None]
     spreads = np.array([p.spread_strength for p in params])[:, None, None]
 
@@ -357,6 +403,7 @@ def place_batch(
         blk_gy, blk_gx = np.gradient(grid.blockage_fraction)
         blk_gx, blk_gy = blk_gx.ravel(), blk_gy.ravel()
     cong_field = np.zeros((U, grid.bins_y, grid.bins_x))
+    bounds = np.broadcast_to(np.array([width, height]), positions.shape).copy()
     k = U
     for iteration in range(1, iters[0] + 1):
         while iters[k - 1] < iteration:
@@ -388,13 +435,13 @@ def place_batch(
             )
 
         # --- density spreading plus the refreshed congestion field.
-        density = grid.density_of(ix.used_area(sub))
+        density = ix.density(sub)
         overflow = np.maximum(0.0, density - density_targets[:k])
         if iteration % 5 == 0 or iteration == 1:
             rudy = ix.rudy(*ix.boxes(k, pin_xy))
             cong_field[:k] = np.maximum(0.0, rudy - 0.8)
         overflow = overflow + spreads[:k] * 0.5 * cong_field[:k]
-        gy, gx = np.gradient(overflow, axis=(1, 2))
+        gy, gx = _unit_gradient(overflow, 1), _unit_gradient(overflow, 2)
         bins = ix.bins(new_positions)
         flat_bins = bins + ix.bin_offset[:k]
         push = spreads[:k, :, 0] * (0.5 + prog[:, :, 0])
@@ -416,7 +463,7 @@ def place_batch(
             if temperature > 0.0:
                 new_positions[s] += rngs[s].normal(0.0, temperature, size=(n, 2))
 
-        positions[:k] = np.clip(new_positions, 0.0, [width, height])
+        positions[:k] = np.clip(new_positions, 0.0, bounds[:k])
 
         hit = [s for s in range(k) if iteration in checkpoints[s]]
         if hit:

@@ -89,12 +89,19 @@ class PlacementGrid:
     def density_of(self, used: np.ndarray, blockage_penalty: bool = True) -> np.ndarray:
         """:meth:`density_map` of per-bin used area ``used``, shape
         ``(..., bins_y, bins_x)`` — any leading axes are lanes."""
-        # Clamp free area so fully-blocked bins keep density finite.
-        free = self.bin_area_um2 * np.maximum(0.05, 1.0 - self.blockage_fraction)
-        density = used / free
+        density = used / self.free_area()
         if blockage_penalty:
-            density = density + np.where(self.blockage_fraction > 0.9, 3.0, 0.0)
+            density = density + self.blockage_bump()
         return density
+
+    def free_area(self) -> np.ndarray:
+        """Per-bin non-macro area, clamped so fully-blocked bins keep
+        density finite."""
+        return self.bin_area_um2 * np.maximum(0.05, 1.0 - self.blockage_fraction)
+
+    def blockage_bump(self) -> np.ndarray:
+        """The constant density bump on heavily-blocked bins."""
+        return np.where(self.blockage_fraction > 0.9, 3.0, 0.0)
 
     def bin_centers(self) -> Tuple[np.ndarray, np.ndarray]:
         """Mesh of bin-center coordinates (cx, cy), each (bins_y, bins_x)."""

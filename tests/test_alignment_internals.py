@@ -142,3 +142,36 @@ class TestToyConvergence:
         assert sequence_log_prob_value(model, insight, dense) > \
             sequence_log_prob_value(model, insight, sparse)
         assert history.epoch_pair_accuracy[-1] > 0.7
+
+
+class TestNonFiniteGuards:
+    """A NaN in the archive or the gradient must stop training, loudly."""
+
+    def test_nan_insight_archive_raises(self):
+        dataset = _toy_dataset()
+        dataset.insights["T1"].values[3] = np.nan
+        trainer = AlignmentTrainer(
+            AlignmentConfig(epochs=1, pairs_per_design=50, seed=0)
+        )
+        with pytest.raises(TrainingError, match="'T1'.*non-finite"):
+            trainer.train(dataset)
+
+    def test_nan_weight_refuses_step_and_keeps_weights(self):
+        from repro.core.model import InsightAlignModel
+        from repro.core.qor import QoRIntention
+        from repro.nn.optim import Adam
+
+        trainer = AlignmentTrainer(AlignmentConfig(pairs_per_design=40, seed=0))
+        per_design = trainer._prepare(_toy_dataset(), QoRIntention())
+        batch = trainer._epoch_batches(per_design, derive_rng(0, "nan"))[0]
+        model = InsightAlignModel(seed=0)
+        model.head.weight.data[0, 0] = np.nan
+        optimizer = Adam(model.parameters(), lr=3e-3)
+        before = model.state_dict()
+        with pytest.raises(TrainingError, match="gradient norm"):
+            trainer._step(model, optimizer, *batch)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+        state = optimizer.state_dict()
+        assert state["step_count"] == 0
+        assert all(not m.any() for m in state["m"] + state["v"])

@@ -78,6 +78,27 @@ class TestOnlineUpdates:
         )
         np.testing.assert_array_equal(weights_before, model.parameters()[0].data)
 
+    def test_nan_gradient_refuses_update(self):
+        """A NaN weight makes a NaN gradient norm: the update raises before
+        the optimizer steps, so no weight and no Adam moment moves."""
+        model = InsightAlignModel(seed=4)
+        model.head.weight.data[0, 0] = np.nan
+        tuner = OnlineFineTuner(OnlineConfig(ppo_weight=0.0, seed=0))
+        from repro.nn.optim import Adam
+
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        before = model.state_dict()
+        rng = derive_rng(3, "upd")
+        insight = np.random.default_rng(2).normal(size=(INSIGHT_DIMS,))
+        winner = tuple(int(b) for b in rng.integers(0, 2, size=40))
+        loser = tuple(int(b) for b in rng.integers(0, 2, size=40))
+        with pytest.raises(TrainingError, match="gradient norm"):
+            tuner._update(model, optimizer, insight, [winner, loser],
+                          [2.0, -2.0], [(winner, 2.0), (loser, -2.0)], rng)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+        assert optimizer.state_dict()["step_count"] == 0
+
 
 class TestPpoClipValidation:
     def test_non_positive_clip_rejected_at_construction(self):

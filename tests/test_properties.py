@@ -12,7 +12,7 @@ from repro.core.policy import sequence_log_prob_value, step_log_probs
 from repro.cts.tree import CtsParams, synthesize_clock_tree
 from repro.insights.schema import INSIGHT_DIMS
 from repro.netlist.generator import generate_netlist
-from repro.placement.batch import _StackIndex
+from repro.placement.batch import _StackIndex, _unit_gradient
 from repro.placement.congestion import rudy_map_fast
 from repro.placement.grid import PlacementGrid
 from repro.placement.placer import PlacerParams, _boxes_fast, place
@@ -265,6 +265,22 @@ class TestStackedScatterInvariants:
             xs, ys = positions[lane, :, 0], positions[lane, :, 1]
             assert density[lane].tobytes() == \
                 grid.density_map(xs, ys, design.p_area).tobytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(2, 17), st.integers(2, 17)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unit_gradient_equals_np_gradient(self, shape, seed):
+        """The spreading field's sliced gradient is ``np.gradient``'s bits,
+        signed zeros included."""
+        rng = np.random.default_rng(seed)
+        field = rng.normal(size=shape) * rng.integers(0, 2, size=shape)
+        field[rng.random(shape) < 0.2] = -0.0
+        gy, gx = np.gradient(field, axis=(1, 2))
+        assert _unit_gradient(field, 1).tobytes() == gy.tobytes()
+        assert _unit_gradient(field, 2).tobytes() == gx.tobytes()
 
 
 class TestCtsInvariants:
