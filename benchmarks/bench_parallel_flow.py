@@ -4,12 +4,13 @@ The production bottleneck InsightAlign faces is the P&R tool itself: one
 flow evaluation is an external, wall-clock-bound invocation (hours on real
 designs), so a batch of K proposals evaluated back-to-back costs K tool
 latencies even though the evaluations are independent.  The contender is
-:class:`~repro.runtime.parallel.ParallelFlowExecutor`, which overlaps those
-latencies across a process pool while guaranteeing bit-identical results.
+:class:`~repro.runtime.FlowSession` with ``workers > 1``, which overlaps
+those latencies across a process pool while guaranteeing bit-identical
+results.
 
 The gated section therefore models the tool with a fixed wall-clock latency
 per invocation (``TOOL_LATENCY_S``) around a deterministic QoR synthesis —
-exactly the regime the executor exists for.  An informational section also
+exactly the regime the worker pool exists for.  An informational section also
 reports real simulated-flow numbers and the persistent QoR cache's
 warm-rerun speedup.
 
@@ -43,7 +44,8 @@ from repro.runtime import (
     FaultPlan,
     FlowExecutor,
     FlowJob,
-    ParallelFlowExecutor,
+    FlowSession,
+    RuntimeConfig,
 )
 
 from common import record_bench, run_once
@@ -92,9 +94,10 @@ def test_parallel_flow_speedup(benchmark, tmp_path):
         ]
         seq_s = time.perf_counter() - started
 
-        with ParallelFlowExecutor(workers=WORKERS, flow_fn=slow_flow) as pool:
+        with FlowSession(RuntimeConfig(workers=WORKERS),
+                         flow_fn=slow_flow) as pool:
             started = time.perf_counter()
-            par_results = pool.execute_batch(jobs)
+            par_results = pool.evaluate_strict(jobs)
             par_s = time.perf_counter() - started
 
         # The speedup only counts if the answers are the same answers.
@@ -110,17 +113,15 @@ def test_parallel_flow_speedup(benchmark, tmp_path):
         kill_plan = FaultPlan(
             rate=0.35, kinds=(FaultKind.WORKER_KILL,), seed=3
         )
-        with ParallelFlowExecutor(
-            workers=1, flow_fn=slow_flow, fault_plan=kill_plan,
-            max_respawns=4 * JOBS, poison_retries=2,
-        ) as serial_chaos:
-            chaos_reference = serial_chaos.run_batch(jobs)
-        with ParallelFlowExecutor(
-            workers=WORKERS, flow_fn=slow_flow, fault_plan=kill_plan,
-            max_respawns=4 * JOBS, poison_retries=2,
-        ) as chaos_pool:
+        chaos_config = RuntimeConfig(
+            fault_plan=kill_plan, max_respawns=4 * JOBS, poison_retries=2,
+        )
+        with FlowSession(chaos_config, flow_fn=slow_flow) as serial_chaos:
+            chaos_reference = serial_chaos.evaluate(jobs)
+        with FlowSession(chaos_config.replace(workers=WORKERS),
+                         flow_fn=slow_flow) as chaos_pool:
             started = time.perf_counter()
-            chaos_reports = chaos_pool.run_batch(jobs)
+            chaos_reports = chaos_pool.evaluate(jobs)
             chaos_s = time.perf_counter() - started
             chaos_stats = chaos_pool.stats()
         assert [(r.ok, r.result.qor if r.ok else str(r.error))
@@ -139,14 +140,14 @@ def test_parallel_flow_speedup(benchmark, tmp_path):
                 vt_swap_bias=1.0 + 0.05 * index)), seed=3)
             for index in range(3)
         ]
-        cache_dir = tmp_path / "qor-cache"
-        with ParallelFlowExecutor(workers=1, cache=cache_dir) as cold:
+        cached = RuntimeConfig(qor_cache_path=tmp_path / "qor-cache")
+        with FlowSession(cached) as cold:
             started = time.perf_counter()
-            cold.execute_batch(real_jobs)
+            cold.evaluate_strict(real_jobs)
             cold_s = time.perf_counter() - started
-        with ParallelFlowExecutor(workers=1, cache=cache_dir) as warm:
+        with FlowSession(cached) as warm:
             started = time.perf_counter()
-            warm_reports = warm.run_batch(real_jobs)
+            warm_reports = warm.evaluate(real_jobs)
             warm_s = time.perf_counter() - started
         assert all(report.cached for report in warm_reports)
         table["cache"] = {"cold_s": cold_s, "warm_s": warm_s,
@@ -223,14 +224,14 @@ def _scalar_vs_stacked(jobs):
     """Time ``jobs`` through the scalar engine and as one stack; the
     stacked results must equal the scalar bits."""
     # The scalar engine, named explicitly: the default is stacked.
-    with ParallelFlowExecutor(workers=1, flow_fn=run_flow) as scalar:
+    with FlowSession(flow_fn=run_flow) as scalar:
         started = time.perf_counter()
-        scalar_results = scalar.execute_batch(jobs)
+        scalar_results = scalar.evaluate_strict(jobs)
         scalar_s = time.perf_counter() - started
 
-    with ParallelFlowExecutor(workers=1, batch_size=BATCH_WIDTH) as stacked:
+    with FlowSession(RuntimeConfig(batch_size=BATCH_WIDTH)) as stacked:
         started = time.perf_counter()
-        stacked_results = stacked.execute_batch(jobs)
+        stacked_results = stacked.evaluate_strict(jobs)
         stacked_s = time.perf_counter() - started
         stats = stacked.stats()
 

@@ -13,7 +13,7 @@ emits the Prometheus text exposition format (histograms as summaries with
 serialization (the ``kind="metrics"`` line of a JSONL trace).
 
 Everything is guarded by per-family locks created through :func:`new_lock`
-— the same primitive :class:`~repro.runtime.parallel.QoRCache` and
+— the same primitive :class:`~repro.runtime.cache.QoRCache` and
 :class:`~repro.serving.cache.ResultCache` use to keep their hit/miss
 counters coherent under concurrent access.
 

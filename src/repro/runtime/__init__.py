@@ -15,10 +15,10 @@ flaky and hours-long) P&R tool invocation:
   alignment and the online loop.
 - :mod:`repro.runtime.clock` — injectable virtual time so none of the above
   ever blocks a test on real wall-clock.
-- :mod:`repro.runtime.parallel` — :class:`ParallelFlowExecutor` fans flow
-  batches out over a process pool (deterministic at any worker count) and
-  :class:`QoRCache` persists successful results on disk so repeated
-  evaluations are free.
+- :mod:`repro.runtime.cache` — :class:`QoRCache` persists successful
+  results on disk so repeated evaluations are free.
+- :mod:`repro.runtime.parallel` — the picklable work records
+  :class:`FlowJob` and :class:`FaultPlan`.
 - :mod:`repro.runtime.supervisor` — ``SupervisedPool``, the one
   process protocol (private command queue and result pipe per member,
   respawn budget, seeded kill chaos, bounded shutdown) shared by flow
@@ -26,8 +26,11 @@ flaky and hours-long) P&R tool invocation:
 - :mod:`repro.runtime.session` — :class:`FlowSession` composes all of the
   above (policy, pool, cache, faults, tracing) behind one batch-first
   ``evaluate(jobs)`` API configured by a typed, validated
-  :class:`RuntimeConfig`.  Every flow consumer in the repo goes through a
-  session; nothing outside this package constructs the executors directly.
+  :class:`RuntimeConfig`: it plans stacked batches, fans them out over a
+  supervised process pool (deterministic at any worker count) and
+  degrades when the pool cannot keep workers alive.  Every flow consumer
+  in the repo goes through a session; nothing outside this package
+  constructs an executor directly.
 
 See ``docs/architecture.md`` for how the pieces compose and
 ``docs/robustness.md`` for the resilience story.
@@ -57,13 +60,8 @@ from repro.runtime.faults import (
     SimulatedToolCrash,
     SimulatedWorkerDeath,
 )
-from repro.runtime.parallel import (
-    FaultPlan,
-    FlowJob,
-    ParallelFlowExecutor,
-    QoRCache,
-    qor_cache_key,
-)
+from repro.runtime.cache import QoRCache, qor_cache_key
+from repro.runtime.parallel import FaultPlan, FlowJob
 from repro.runtime.session import (
     FlowOutcome,
     FlowSession,
@@ -82,7 +80,6 @@ __all__ = [
     "FlowOutcome",
     "FlowRunReport",
     "FlowSession",
-    "ParallelFlowExecutor",
     "QoRCache",
     "RecordingSleep",
     "RetryPolicy",

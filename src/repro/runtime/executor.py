@@ -91,7 +91,7 @@ class FlowRunReport:
     """Everything the executor observed while running one recipe set.
 
     ``cached`` marks results served from a persistent
-    :class:`~repro.runtime.parallel.QoRCache` instead of a live run; such
+    :class:`~repro.runtime.cache.QoRCache` instead of a live run; such
     reports carry no attempts and zero elapsed time.
     """
 

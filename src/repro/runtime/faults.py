@@ -19,7 +19,8 @@ Two further *process-level* modes rehearse failures that no in-process
 ``except`` clause can see — the OOM killer, a segfault, a tool that wedges
 forever.  They are opt-in (never part of the default ``kinds``) because
 they take down the executing process itself, and only the supervised
-worker pool in :mod:`repro.runtime.parallel` can recover from them:
+worker pool of :class:`~repro.runtime.session.FlowSession` can recover
+from them:
 
 - ``WORKER_KILL``  — inside a pool worker the process dies for real
   (``os._exit(139)``, mimicking a segfault); in-process it raises the
@@ -101,7 +102,8 @@ class SimulatedWorkerDeath(BaseException):
     invisible to every ``except Exception`` handler in the worker —
     including the :class:`~repro.runtime.executor.FlowExecutor` retry loop —
     so its simulation must fly past them too and only be caught by the
-    process-level supervision layer in :mod:`repro.runtime.parallel`.
+    process-level supervision of
+    :class:`~repro.runtime.session.FlowSession`.
     """
 
 

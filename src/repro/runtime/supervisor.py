@@ -1,6 +1,6 @@
 """One supervised process pool: the process protocol every child process uses.
 
-Flow workers (:mod:`repro.runtime.parallel`), online actors
+Flow workers (:mod:`repro.runtime.session`), online actors
 (:mod:`repro.distributed`) and serving replicas
 (:mod:`repro.serving.cluster`) all run as members of a
 :class:`SupervisedPool`.  The pool owns the one copy of the protocol:

@@ -65,7 +65,6 @@ from repro.runtime import (
     FlowExecutor,
     FlowJob,
     FlowSession,
-    ParallelFlowExecutor,
     RuntimeConfig,
 )
 
@@ -586,7 +585,7 @@ class TestSessionBatchEquivalence:
             (index, FlowJob(design, RECIPES[RECIPE_NAMES[0]], 0))
             for index, design in enumerate(["D6"] * 32 + ["D10"] * 32)
         ]
-        with ParallelFlowExecutor(workers=4, batch_size=16) as executor:
+        with FlowSession(RuntimeConfig(workers=4, batch_size=16)) as executor:
             tasks = executor._plan_tasks(jobs)
         assert [len(job) for _, job in tasks] == [16] * 4
 
@@ -625,9 +624,9 @@ class TestSessionBatchEquivalence:
                 session.close()
 
     def test_fault_plan_forces_scalar_path(self):
-        """At the executor layer a fault plan disables stacking entirely:
-        fault-injected jobs always run one by one, with outcomes
-        identical to a batch_size=1 executor."""
+        """A fault plan disables stacking entirely: fault-injected jobs
+        always run one by one, with outcomes identical to a batch_size=1
+        session."""
         plan = FaultPlan(
             rate=0.6, kinds=(FaultKind.CRASH,), seed=17
         )
@@ -638,12 +637,12 @@ class TestSessionBatchEquivalence:
         ]
         outcomes = {}
         for batch_size in (1, 4):
-            executor = ParallelFlowExecutor(
+            executor = FlowSession(RuntimeConfig(
                 workers=1, fault_plan=plan, seed=17,
                 batch_size=batch_size,
-            )
+            ))
             try:
-                outcomes[batch_size] = executor.run_batch(jobs)
+                outcomes[batch_size] = executor.evaluate(jobs)
                 assert executor.batch_calls == 0
             finally:
                 executor.close()
@@ -725,14 +724,12 @@ class TestKnobRejection:
 
         reports = {}
         for batch_size in (1, 2):
-            with ParallelFlowExecutor(
-                batch_size=batch_size, flow_fn=toy_flow
-            ) as executor:
-                reports[batch_size] = executor.run_batch(tiny_jobs())
+            with FlowSession(RuntimeConfig(
+                batch_size=batch_size
+            ), flow_fn=toy_flow) as executor:
+                reports[batch_size] = executor.evaluate(tiny_jobs())
                 assert executor.batch_calls == 0
         assert_same_outcomes(reports[2], reports[1])
-        with pytest.raises(ValueError, match="batch_size"):
-            ParallelFlowExecutor(batch_size=0)
 
 
 # ----------------------------------------------------------------------

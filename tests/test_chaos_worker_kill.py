@@ -30,7 +30,6 @@ from repro.runtime import (
     FaultPlan,
     FlowJob,
     FlowSession,
-    ParallelFlowExecutor,
     RuntimeConfig,
 )
 
@@ -69,11 +68,11 @@ def _jobs(profile, count=8):
 
 def _run(workers):
     profile = tiny_profile()
-    with ParallelFlowExecutor(
-        workers=workers, flow_fn=chaos_flow, fault_plan=CHAOS_PLAN,
+    with FlowSession(RuntimeConfig(
+        workers=workers, fault_plan=CHAOS_PLAN,
         max_respawns=32, poison_retries=1,
-    ) as executor:
-        reports = executor.run_batch(_jobs(profile))
+    ), flow_fn=chaos_flow) as executor:
+        reports = executor.evaluate(_jobs(profile))
         stats = executor.stats()
     return reports, stats
 

@@ -1,6 +1,6 @@
 """Parallel flow evaluation: sequential equivalence, faults, batching.
 
-The hard guarantee under test: a :class:`ParallelFlowExecutor` batch
+The hard guarantee under test: a :class:`~repro.runtime.FlowSession` batch
 returns bit-identical results to the sequential loop for the same seeds at
 any worker count — QoR dicts, stage snapshots, derived insight vectors —
 and seeded fault injection surfaces the same typed errors through the
@@ -34,7 +34,7 @@ from repro.runtime import (
     FaultPlan,
     FlowExecutor,
     FlowJob,
-    ParallelFlowExecutor,
+    FlowSession,
     RetryPolicy,
     RuntimeConfig,
 )
@@ -81,8 +81,8 @@ class TestSequentialEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_at_any_worker_count(self, reference, workers):
         profile, expected = reference
-        with ParallelFlowExecutor(workers=workers) as executor:
-            results = executor.execute_batch(_jobs(profile))
+        with FlowSession(RuntimeConfig(workers=workers)) as executor:
+            results = executor.evaluate_strict(_jobs(profile))
         extractor = InsightExtractor()
         for got, want in zip(results, expected):
             # QoR dicts: exact float equality, not approx.
@@ -101,24 +101,20 @@ class TestSequentialEquivalence:
     def test_reports_come_back_in_submission_order(self):
         profile = tiny_profile()
         jobs = _jobs(profile, count=4)
-        with ParallelFlowExecutor(workers=2) as executor:
-            reports = executor.run_batch(jobs)
+        with FlowSession(RuntimeConfig(workers=2)) as executor:
+            reports = executor.evaluate(jobs)
         for job, report in zip(jobs, reports):
             direct = run_flow(job.design, job.params, seed=job.seed)
             assert report.ok
             assert report.result.qor == direct.qor
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelFlowExecutor(workers=0)
-
     @pytest.mark.parametrize("workers", (1, 2))
     def test_config_errors_propagate_untyped(self, workers):
         # An unknown design is a configuration bug, not tool flakiness:
         # it must raise (NetlistError), not be absorbed into a report.
-        with ParallelFlowExecutor(workers=workers) as executor:
+        with FlowSession(RuntimeConfig(workers=workers)) as executor:
             with pytest.raises(NetlistError):
-                executor.run_batch([FlowJob("NOPE")])
+                executor.evaluate([FlowJob("NOPE")])
 
 
 class TestTypedErrorsThroughThePool:
@@ -144,15 +140,16 @@ class TestTypedErrorsThroughThePool:
         )
         jobs = [FlowJob("D6", FlowParameters(), seed=i) for i in range(6)]
         kwargs = dict(
-            flow_fn=toy_flow,
             fault_plan=plan,
             deadline_s=10.0,
             policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
         )
-        with ParallelFlowExecutor(workers=1, **kwargs) as sequential:
-            expected = sequential.run_batch(jobs)
-        with ParallelFlowExecutor(workers=workers, **kwargs) as parallel:
-            got = parallel.run_batch(jobs)
+        with FlowSession(RuntimeConfig(workers=1, **kwargs),
+                         flow_fn=toy_flow) as sequential:
+            expected = sequential.evaluate(jobs)
+        with FlowSession(RuntimeConfig(workers=workers, **kwargs),
+                         flow_fn=toy_flow) as parallel:
+            got = parallel.evaluate(jobs)
         assert all(not report.ok for report in expected)
         for a, b in zip(expected, got):
             assert b.ok is False
@@ -164,11 +161,11 @@ class TestTypedErrorsThroughThePool:
     def test_hang_surfaces_as_timeout_through_pool(self):
         plan = FaultPlan(rate=1.0, kinds=(FaultKind.HANG,), seed=3,
                          hang_s=500.0)
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=toy_flow, fault_plan=plan, deadline_s=10.0,
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=plan, deadline_s=10.0,
             policy=RetryPolicy(max_attempts=1),
-        ) as executor:
-            reports = executor.run_batch(
+        ), flow_fn=toy_flow) as executor:
+            reports = executor.evaluate(
                 [FlowJob("D6", FlowParameters(), seed=i) for i in range(3)]
             )
         for report in reports:
@@ -176,12 +173,12 @@ class TestTypedErrorsThroughThePool:
 
     def test_execute_batch_raises_first_failure_by_submission_order(self):
         plan = FaultPlan(rate=1.0, kinds=(FaultKind.CRASH,), seed=5)
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=toy_flow, fault_plan=plan,
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=plan,
             policy=RetryPolicy(max_attempts=1),
-        ) as executor:
+        ), flow_fn=toy_flow) as executor:
             with pytest.raises(FlowCrash):
-                executor.execute_batch([FlowJob("D6"), FlowJob("D10")])
+                executor.evaluate_strict([FlowJob("D6"), FlowJob("D10")])
 
 
 class TestBatchObjectives:

@@ -12,7 +12,7 @@ from repro.runtime import (
     FaultKind,
     FaultPlan,
     FlowJob,
-    ParallelFlowExecutor,
+    FlowSession,
     QoRCache,
     RuntimeConfig,
     qor_cache_key,
@@ -96,11 +96,12 @@ class TestExecutorIntegration:
             for i in range(3)
         ]
         path = tmp_path / "qor"
-        with ParallelFlowExecutor(workers=1, cache=path) as cold:
-            first = cold.run_batch(jobs)
+        config = RuntimeConfig(workers=1, qor_cache_path=path)
+        with FlowSession(config) as cold:
+            first = cold.evaluate(jobs)
         assert all(r.ok and not r.cached for r in first)
-        with ParallelFlowExecutor(workers=1, cache=path) as warm:
-            second = warm.run_batch(jobs)
+        with FlowSession(config) as warm:
+            second = warm.evaluate(jobs)
             stats = warm.stats()
         for a, b in zip(first, second):
             assert b.cached
@@ -111,10 +112,10 @@ class TestExecutorIntegration:
     def test_fault_injected_runs_are_never_cached(self, tmp_path):
         plan = FaultPlan(rate=1.0, kinds=(FaultKind.CRASH,), seed=11)
         path = tmp_path / "qor"
-        with ParallelFlowExecutor(
-            workers=1, flow_fn=toy_flow, cache=path, fault_plan=plan
-        ) as executor:
-            reports = executor.run_batch([FlowJob("D6")])
+        with FlowSession(RuntimeConfig(
+            workers=1, qor_cache_path=path, fault_plan=plan
+        ), flow_fn=toy_flow) as executor:
+            reports = executor.evaluate([FlowJob("D6")])
         assert not reports[0].ok
         assert QoRCache(path).info()["entries"] == 0
 

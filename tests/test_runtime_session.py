@@ -8,8 +8,11 @@ Three concerns live here:
 2. Flow consumers take their runtime as ``runtime=RuntimeConfig(...)``
    and produce the same results through it.
 3. The refactor's structural invariant: nothing outside
-   ``repro/runtime/`` constructs ``FlowExecutor`` / ``ParallelFlowExecutor``
-   directly any more — every consumer goes through a session.
+   ``repro/runtime/`` constructs a ``FlowExecutor`` directly any more —
+   every consumer goes through a session, the only flow-runtime door.
+
+``evaluate_at`` — the distributed actors' single-job door — is pinned to
+``evaluate`` outcome by outcome under faults, poison and the QoR cache.
 """
 
 import pathlib
@@ -18,7 +21,7 @@ import re
 import pytest
 
 from conftest import tiny_profile
-from repro.errors import FlowCrash, RuntimeConfigError
+from repro.errors import FlowCrash, RuntimeConfigError, WorkerCrash
 from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.runner import (
     netlist_cache_info,
@@ -60,6 +63,10 @@ class TestRuntimeConfigValidation:
         dict(seed="zero"),
         dict(seed=False),
         dict(fault_plan="crash-everything"),
+        dict(deadline_s="5"),
+        dict(deadline_s=True),
+        dict(min_snapshots=True),
+        dict(qor_cache_path=""),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(RuntimeConfigError):
@@ -162,6 +169,77 @@ class TestFlowSessionComposition:
         injected = FlowSession(RuntimeConfig(), executor=FlowExecutor())
         assert injected.stats()["injected"] is True
         injected.close()  # no-op: nothing to release
+
+
+class TestEvaluateAt:
+    """``evaluate_at(job, index=i)`` reproduces position ``i`` of
+    ``evaluate`` — the contract the distributed actors rely on."""
+
+    JOBS = [
+        FlowJob("D6", FlowParameters(
+            opt=OptParams(vt_swap_bias=1.0 + 0.05 * index)
+        ), seed=index % 2)
+        for index in range(6)
+    ]
+
+    @staticmethod
+    def _view(outcome):
+        return (outcome.ok, type(outcome.error).__name__,
+                str(outcome.error), len(outcome.attempts))
+
+    def _pinned(self, config):
+        """Evaluate every job both ways on one session; compare."""
+        with FlowSession(config, flow_fn=toy_flow) as session:
+            at = [
+                session.evaluate_at(job, index=index)
+                for index, job in enumerate(self.JOBS)
+            ]
+            batch = session.evaluate(self.JOBS)
+        assert [self._view(o) for o in at] == \
+            [self._view(o) for o in batch]
+        return at
+
+    def test_in_tool_faults_with_deadline_and_retries(self):
+        plan = FaultPlan(
+            rate=0.5,
+            kinds=(FaultKind.CRASH, FaultKind.CORRUPT_QOR, FaultKind.HANG),
+            seed=17, hang_s=1000.0,
+        )
+        at = self._pinned(RuntimeConfig(
+            fault_plan=plan, deadline_s=10.0,
+            policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
+        ))
+        assert any(not o.ok for o in at)              # faults did fire
+        assert any(o.ok and len(o.attempts) == 2 for o in at)  # retried
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_worker_kill_quarantine(self, workers):
+        plan = FaultPlan(rate=0.5, kinds=(FaultKind.WORKER_KILL,), seed=17)
+        at = self._pinned(RuntimeConfig(
+            workers=workers, fault_plan=plan, poison_retries=0,
+            max_respawns=32,
+        ))
+        assert any(isinstance(o.error, WorkerCrash) for o in at)
+        assert any(o.ok for o in at)
+
+    def test_cache_serves_a_repeat(self, tmp_path):
+        reference = self._pinned(RuntimeConfig())
+        config = RuntimeConfig(qor_cache_path=tmp_path / "qor")
+        with FlowSession(config, flow_fn=toy_flow) as session:
+            first = [
+                session.evaluate_at(job, index=index)
+                for index, job in enumerate(self.JOBS)
+            ]
+            again = [
+                session.evaluate_at(job, index=index)
+                for index, job in enumerate(self.JOBS)
+            ]
+        assert [self._view(o) for o in first] == \
+            [self._view(o) for o in reference]
+        assert not any(o.cached for o in first)
+        assert all(o.cached for o in again)
+        assert [o.result.qor for o in again] == \
+            [o.result.qor for o in first]
 
 
 class TestTraceToggle:

@@ -27,7 +27,6 @@ from repro.runtime import (
     FlowExecutor,
     FlowJob,
     FlowSession,
-    ParallelFlowExecutor,
     RuntimeConfig,
 )
 
@@ -62,14 +61,6 @@ def _jobs(profile, count=4):
 
 
 class TestKnobValidation:
-    def test_executor_rejects_negative_budgets(self):
-        with pytest.raises(ValueError, match="max_respawns"):
-            ParallelFlowExecutor(max_respawns=-1)
-        with pytest.raises(ValueError, match="poison_retries"):
-            ParallelFlowExecutor(poison_retries=-2)
-        with pytest.raises(ValueError, match="watchdog_s"):
-            ParallelFlowExecutor(watchdog_s=0.0)
-
     @pytest.mark.parametrize("kwargs", [
         {"max_respawns": -1},
         {"max_respawns": 1.5},
@@ -78,6 +69,8 @@ class TestKnobValidation:
         {"watchdog_s": 0.0},
         {"watchdog_s": -2.0},
         {"degrade_to_serial": 1},
+        {"watchdog_s": "1"},
+        {"watchdog_s": True},
     ])
     def test_runtime_config_rejects_bad_knobs(self, kwargs):
         with pytest.raises(RuntimeConfigError):
@@ -104,11 +97,11 @@ class TestPoisonQuarantine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_poison_job_quarantined_with_typed_error(self, workers):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=workers, flow_fn=quick_flow, fault_plan=KILL_PLAN,
+        with FlowSession(RuntimeConfig(
+            workers=workers, fault_plan=KILL_PLAN,
             max_respawns=32, poison_retries=0,
-        ) as executor:
-            reports = executor.run_batch(_jobs(profile, count=3))
+        ), flow_fn=quick_flow) as executor:
+            reports = executor.evaluate(_jobs(profile, count=3))
             assert len(reports) == 3
             for report in reports:
                 assert not report.ok
@@ -122,14 +115,14 @@ class TestPoisonQuarantine:
         profile = tiny_profile()
         outcomes = {}
         for workers in (1, 2):
-            with ParallelFlowExecutor(
-                workers=workers, flow_fn=quick_flow, fault_plan=KILL_PLAN,
+            with FlowSession(RuntimeConfig(
+                workers=workers, fault_plan=KILL_PLAN,
                 max_respawns=32, poison_retries=1,
-            ) as executor:
+            ), flow_fn=quick_flow) as executor:
                 outcomes[workers] = [
                     (report.ok, type(report.error).__name__,
                      str(report.error))
-                    for report in executor.run_batch(_jobs(profile))
+                    for report in executor.evaluate(_jobs(profile))
                 ]
         assert outcomes[1] == outcomes[2]
 
@@ -137,10 +130,10 @@ class TestPoisonQuarantine:
 class TestWatchdog:
     def test_pool_watchdog_kills_stalled_worker(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=slow_flow, watchdog_s=0.2, max_respawns=8,
-        ) as executor:
-            reports = executor.run_batch(_jobs(profile, count=2))
+        with FlowSession(RuntimeConfig(
+            workers=2, watchdog_s=0.2, max_respawns=8,
+        ), flow_fn=slow_flow) as executor:
+            reports = executor.evaluate(_jobs(profile, count=2))
             for report in reports:
                 assert not report.ok
                 assert isinstance(report.error, FlowTimeout)
@@ -149,10 +142,10 @@ class TestWatchdog:
 
     def test_inprocess_watchdog_same_typed_outcome(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=1, flow_fn=slow_flow, watchdog_s=0.2,
-        ) as executor:
-            report = executor.run_batch(_jobs(profile, count=1))[0]
+        with FlowSession(RuntimeConfig(
+            workers=1, watchdog_s=0.2,
+        ), flow_fn=slow_flow) as executor:
+            report = executor.evaluate(_jobs(profile, count=1))[0]
         assert isinstance(report.error, FlowTimeout)
         assert "supervision watchdog" in str(report.error)
 
@@ -160,11 +153,11 @@ class TestWatchdog:
 class TestDegradation:
     def test_budget_exhaustion_degrades_to_serial(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=quick_flow, fault_plan=KILL_PLAN,
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=KILL_PLAN,
             max_respawns=1, poison_retries=0,
-        ) as executor:
-            reports = executor.run_batch(_jobs(profile, count=6))
+        ), flow_fn=quick_flow) as executor:
+            reports = executor.evaluate(_jobs(profile, count=6))
             # Every job still answered, all as typed quarantine reports
             # (rate=1.0 kills on every dispatch, serial or pooled).
             assert len(reports) == 6
@@ -173,24 +166,43 @@ class TestDegradation:
             assert stats["degraded"] is True
             assert stats["workers_live"] == 0
             # A later batch goes straight to the serial path.
-            more = executor.run_batch(_jobs(profile, count=2))
+            more = executor.evaluate(_jobs(profile, count=2))
             assert all(isinstance(r.error, WorkerCrash) for r in more)
 
     def test_degrade_disabled_raises_worker_pool_error(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=quick_flow, fault_plan=KILL_PLAN,
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=KILL_PLAN,
             max_respawns=0, poison_retries=0, degrade_to_serial=False,
-        ) as executor:
+        ), flow_fn=quick_flow) as executor:
             with pytest.raises(WorkerPoolError, match="respawn budget"):
-                executor.run_batch(_jobs(profile, count=4))
+                executor.evaluate(_jobs(profile, count=4))
+
+    def test_degrade_disabled_holds_for_later_batches(self):
+        """Once the pool is down with degrade_to_serial off, a later
+        batch raises too instead of running its jobs in-process."""
+        profile = tiny_profile()
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=KILL_PLAN,
+            max_respawns=0, poison_retries=0, degrade_to_serial=False,
+        ), flow_fn=quick_flow) as session:
+            with pytest.raises(WorkerPoolError, match="respawn budget"):
+                session.evaluate(_jobs(profile, count=4))
+            before = session.stats()
+            with pytest.raises(WorkerPoolError, match="respawn budget"):
+                session.evaluate(_jobs(profile, count=4))
+            after = session.stats()
+            # Nothing ran in-process: no job was quarantined or re-run.
+            assert after["poison_jobs"] == before["poison_jobs"]
+            assert after["jobs_redispatched"] == before["jobs_redispatched"]
+            assert after["degraded"] is True
 
 
 class TestGracefulClose:
     def test_close_joins_workers_and_is_idempotent(self):
         profile = tiny_profile()
-        executor = ParallelFlowExecutor(workers=2, flow_fn=quick_flow)
-        reports = executor.run_batch(_jobs(profile, count=2))
+        executor = FlowSession(RuntimeConfig(workers=2), flow_fn=quick_flow)
+        reports = executor.evaluate(_jobs(profile, count=2))
         assert all(report.ok for report in reports)
         supervisor = executor._pool
         assert supervisor is not None and supervisor.live_count() == 2
@@ -203,10 +215,10 @@ class TestGracefulClose:
         import time
 
         profile = tiny_profile()
-        executor = ParallelFlowExecutor(
-            workers=2, flow_fn=slow_flow, watchdog_s=0.2,
-        )
-        executor.run_batch(_jobs(profile, count=1))
+        executor = FlowSession(RuntimeConfig(
+            workers=2, watchdog_s=0.2,
+        ), flow_fn=slow_flow)
+        executor.evaluate(_jobs(profile, count=1))
         started = time.monotonic()
         executor.close(timeout_s=1.0)
         assert time.monotonic() - started < 5.0
@@ -219,31 +231,31 @@ class TestQueueDepthGauge:
 
     def test_gauge_zero_after_batch(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(workers=2, flow_fn=quick_flow) as ex:
-            ex.run_batch(_jobs(profile))
+        with FlowSession(RuntimeConfig(workers=2), flow_fn=quick_flow) as ex:
+            ex.evaluate(_jobs(profile))
             assert self._depth() == 0
 
     def test_gauge_zero_after_fully_cached_batch(self, tmp_path):
         profile = tiny_profile()
         jobs = _jobs(profile, count=2)
-        with ParallelFlowExecutor(
-            flow_fn=quick_flow, cache=tmp_path / "qor"
-        ) as ex:
-            ex.run_batch(jobs)
+        with FlowSession(RuntimeConfig(
+            qor_cache_path=tmp_path / "qor"
+        ), flow_fn=quick_flow) as ex:
+            ex.evaluate(jobs)
             # Leave a stale-looking value behind, then run an all-hit
             # batch: the gauge must still read 0 at batch end.
             get_registry().gauge("flow_pool_queue_depth").set(7)
-            reports = ex.run_batch(jobs)
+            reports = ex.evaluate(jobs)
             assert all(report.cached for report in reports)
             assert self._depth() == 0
 
     def test_gauge_zero_after_degraded_batch(self):
         profile = tiny_profile()
-        with ParallelFlowExecutor(
-            workers=2, flow_fn=quick_flow, fault_plan=KILL_PLAN,
+        with FlowSession(RuntimeConfig(
+            workers=2, fault_plan=KILL_PLAN,
             max_respawns=0, poison_retries=0,
-        ) as ex:
-            ex.run_batch(_jobs(profile))
+        ), flow_fn=quick_flow) as ex:
+            ex.evaluate(_jobs(profile))
             assert self._depth() == 0
 
 
@@ -272,14 +284,14 @@ class TestSupervisionObservability:
         profile = tiny_profile()
         counter = get_registry().counter("flow_worker_restarts_total")
         before = counter.value_of(mode="inprocess")
-        with ParallelFlowExecutor(
-            workers=1, flow_fn=quick_flow,
+        with FlowSession(RuntimeConfig(
+            workers=1,
             fault_plan=FaultPlan(
                 rate=0.4, kinds=(FaultKind.WORKER_KILL,), seed=2
             ),
             poison_retries=4,
-        ) as ex:
-            ex.run_batch(_jobs(profile, count=6))
+        ), flow_fn=quick_flow) as ex:
+            ex.evaluate(_jobs(profile, count=6))
         assert counter.value_of(mode="inprocess") > before
 
     def test_render_supervision_section(self):
