@@ -9,16 +9,18 @@ refreshed from the best run of each iteration, so the conditioning context
 tracks the design as the paper describes ("additional insights are
 gathered, providing a progressively generalized view of the design").
 
-Fault tolerance: every flow invocation goes through a
-:class:`~repro.runtime.executor.FlowExecutor` (deadline + bounded retries +
-typed errors).  A recipe set whose evaluation still fails is recorded in
-the iteration's :class:`FlowFailure` list, logged with its typed cause, and
-excluded from the DPO/PPO batch — the iteration proceeds with the
-surviving K' < K runs.  If fewer than ``min_successes`` survive, the model
-update (and insight refresh) for that iteration is skipped entirely rather
-than learning from a degenerate batch.  With ``checkpoint_path`` set, the
-full loop state is atomically persisted every ``checkpoint_every``
-iterations and ``resume_from`` continues a killed run bit-identically.
+Fault tolerance: every flow invocation goes through the loop's
+:class:`~repro.runtime.session.FlowSession` (deadline + bounded retries +
+typed errors, and an optional seeded fault plan keyed by each proposal's
+global index ``iteration * k + i``).  A recipe set whose evaluation still
+fails is recorded in the iteration's :class:`FlowFailure` list, logged
+with its typed cause, and excluded from the DPO/PPO batch — the iteration
+proceeds with the surviving K' < K runs.  If fewer than ``min_successes``
+survive, the model update (and insight refresh) for that iteration is
+skipped entirely rather than learning from a degenerate batch.  With
+``checkpoint_path`` set, the full loop state is atomically persisted every
+``checkpoint_every`` iterations and ``resume_from`` continues a killed run
+bit-identically.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.nn.tensor import Tensor
 from repro.observability import get_registry, get_tracer
 from repro.recipes.apply import apply_recipe_set
 from repro.recipes.catalog import default_catalog
-from repro.runtime.executor import FlowExecutor
 from repro.runtime.parallel import FlowJob
 from repro.runtime.session import FlowSession, RuntimeConfig
 from repro.utils.rng import derive_rng
@@ -67,7 +68,7 @@ class OnlineConfig:
     explore_samples: int = 1
     seed: int = 0
     # Fault tolerance: an iteration updates the model only when at least
-    # ``min_successes`` of its K evaluations survived the executor.
+    # ``min_successes`` of its K evaluations survived the session.
     min_successes: int = 1
     # Crash safety: atomic checkpoint of the full loop state (model,
     # optimizer, RNG, observed runs, records) every N iterations, and
@@ -76,9 +77,10 @@ class OnlineConfig:
     checkpoint_every: int = 1
     resume_from: Optional[str] = None
     # How the K proposals of each iteration are evaluated: workers, QoR
-    # cache, retry policy, trace toggle — one validated RuntimeConfig for
-    # the loop's FlowSession.  None means the sequential in-process
-    # default (bit-identical to any worker count for the same seeds).
+    # cache, retry policy, deadline, fault plan — one validated
+    # RuntimeConfig for the loop's FlowSession.  None means the sequential
+    # in-process default (bit-identical to any worker count for the same
+    # seeds).
     runtime: Optional[RuntimeConfig] = None
     # Actor/learner execution of the loop itself: actor count, sync vs
     # bounded-staleness async, elastic-membership budgets — a validated
@@ -95,6 +97,14 @@ class OnlineConfig:
             raise TrainingError(
                 f"ppo_clip must be positive when ppo_weight > 0, "
                 f"got {self.ppo_clip}"
+            )
+        if self.min_successes < 0:
+            raise TrainingError(
+                f"min_successes must be >= 0, got {self.min_successes}"
+            )
+        if self.checkpoint_every < 1:
+            raise TrainingError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
         if self.distributed is not None:
             # Imported lazily: repro.distributed composes *this* config,
@@ -117,7 +127,7 @@ class OnlineConfig:
 
 @dataclass
 class FlowFailure:
-    """One recipe-set evaluation the executor gave up on."""
+    """One recipe-set evaluation the session gave up on."""
 
     iteration: int
     recipe_set: Tuple[int, ...]
@@ -205,21 +215,15 @@ class OnlineFineTuner:
     """Runs the closed-loop fine-tuning of an aligned model on one design.
 
     Every flow invocation goes through one :class:`FlowSession` built
-    from ``config.runtime`` (workers, QoR cache, retry policy, trace
-    toggle); each iteration's K proposals are a single
-    ``session.evaluate`` batch — bit-identical results at any worker
-    count, K-way concurrent wall-clock when workers allow.
-
-    ``executor`` remains the test-oriented escape hatch: a fully-built
-    :class:`FlowExecutor` (closures, virtual clocks, wrapped fault
-    injectors) that the session runs every job through sequentially,
-    exactly as before the session layer existed.
+    from ``config.runtime`` (workers, QoR cache, retry policy, deadline,
+    fault plan) and ``flow_fn``; each iteration's K proposals are a
+    single ``session.evaluate`` batch — bit-identical results at any
+    worker count, K-way concurrent wall-clock when workers allow.
     """
 
     def __init__(
         self,
         config: OnlineConfig = OnlineConfig(),
-        executor: Optional[FlowExecutor] = None,
         flow_fn: Optional[Callable] = None,
     ) -> None:
         if config.distributed is not None and type(self) is OnlineFineTuner:
@@ -230,16 +234,7 @@ class OnlineFineTuner:
             )
         self.config = config
         self._flow_fn = flow_fn
-        if executor is not None:
-            self._session = FlowSession(
-                config.runtime or RuntimeConfig(),
-                flow_fn=flow_fn,
-                executor=executor,
-            )
-        else:
-            self._session = FlowSession(
-                config.resolved_runtime(), flow_fn=flow_fn
-            )
+        self._session = FlowSession(config.resolved_runtime(), flow_fn=flow_fn)
 
     @property
     def session(self) -> FlowSession:
@@ -265,39 +260,10 @@ class OnlineFineTuner:
         verbose: bool = False,
     ) -> OnlineResult:
         cfg = self.config
-        if cfg.min_successes < 0:
-            raise TrainingError(
-                f"min_successes must be >= 0, got {cfg.min_successes}"
-            )
-        if cfg.checkpoint_every < 1:
-            raise TrainingError(
-                f"checkpoint_every must be >= 1, got {cfg.checkpoint_every}"
-            )
-        rng = derive_rng(cfg.seed, "online", design)
-        catalog = default_catalog()
-        extractor = InsightExtractor()
-        profile = get_profile(design)
-        normalizer = dataset.normalizer_for(design, intention)
-        insight = dataset.insight_for(design).copy()
-        optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
-
-        observed: List[Tuple[Tuple[int, ...], float]] = []
-        seen: set = set()
-        result = OnlineResult(design=design)
-        best_overall: Tuple[float, Optional[Dict[str, float]]] = (-np.inf, None)
-        start_iteration = 0
-        if cfg.resume_from:
-            start_iteration, insight, best_overall = self._restore(
-                model, optimizer, rng, design, observed, seen, result
-            )
-
-        state = _LoopState(
-            design=design, model=model, optimizer=optimizer, rng=rng,
-            insight=insight, observed=observed, seen=seen, result=result,
-            best_overall=best_overall, normalizer=normalizer,
-            intention=intention, extractor=extractor, profile=profile,
-            verbose=verbose,
+        state, start_iteration = self._start(
+            model, dataset, design, intention, verbose
         )
+        catalog = default_catalog()
         tracer = get_tracer()
         with tracer.span(
             "online.run",
@@ -310,7 +276,9 @@ class OnlineFineTuner:
                 with tracer.span(
                     "online.iteration", iteration=iteration
                 ) as iter_span:
-                    proposals = self._propose(model, state.insight, seen, rng)
+                    proposals = self._propose(
+                        model, state.insight, state.seen, state.rng
+                    )
                     params_list = [
                         apply_recipe_set(list(bits), catalog)
                         for bits in proposals
@@ -330,8 +298,35 @@ class OnlineFineTuner:
                         updated=record.updated,
                         best_score=record.best_score_so_far,
                     )
-        result.model = model
-        return result
+        state.result.model = model
+        return state.result
+
+    def _start(self, model, dataset, design, intention,
+               verbose) -> Tuple[_LoopState, int]:
+        """The state a run starts from, and its first iteration: fresh at
+        iteration 0, or restored from ``config.resume_from``.  The serial
+        loop and the distributed async learner both start here."""
+        cfg = self.config
+        rng = derive_rng(cfg.seed, "online", design)
+        extractor = InsightExtractor()
+        profile = get_profile(design)
+        normalizer = dataset.normalizer_for(design, intention)
+        insight = dataset.insight_for(design).copy()
+        optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
+        state = _LoopState(
+            design=design, model=model, optimizer=optimizer, rng=rng,
+            insight=insight, observed=[], seen=set(),
+            result=OnlineResult(design=design), best_overall=(-np.inf, None),
+            normalizer=normalizer, intention=intention, extractor=extractor,
+            profile=profile, verbose=verbose,
+        )
+        if not cfg.resume_from:
+            return state, 0
+        start, state.insight, state.best_overall = self._restore(
+            model, optimizer, rng, design, state.observed, state.seen,
+            state.result,
+        )
+        return state, start
 
     def _absorb(self, state: _LoopState, iteration: int, proposals,
                 reports) -> IterationRecord:
@@ -456,14 +451,13 @@ class OnlineFineTuner:
         """Evaluate one iteration's proposals as a single session batch
         (outcomes come back in proposal order).
 
-        ``iteration`` is unused here — per-job randomness is keyed by
-        batch index alone, as it always was — but the distributed
-        subclass needs it to label dispatches, so the override point
-        carries it.
+        Proposal ``i`` of iteration ``t`` runs as global proposal index
+        ``t * k + i``, so each iteration draws fresh fault and jitter
+        streams — the index the distributed learner's actors use too.
         """
-        del iteration
         return self._session.evaluate(
-            [FlowJob(design, params, seed) for params in params_list]
+            [FlowJob(design, params, seed) for params in params_list],
+            first_index=iteration * self.config.k,
         )
 
     # ------------------------------------------------------------------

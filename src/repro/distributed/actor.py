@@ -11,8 +11,8 @@ the learner drives directly: the pool owns the channels, death
 detection, respawn budget, chaos draw and shutdown.
 
 Determinism is carried by the task, not the process: per-job randomness
-keys on the learner-assigned global task index
-(:meth:`FlowSession.evaluate_at`), and async proposal sampling keys on
+keys on the task id, which is the proposal's global index in the online
+loop (:meth:`FlowSession.evaluate_at`), and async proposal sampling keys on
 ``(base seed, task id, dispatch)`` — whichever actor serves a task, alive
 or respawned, produces the same record.
 """
@@ -91,8 +91,8 @@ def _actor_main(actor_id: int, spawn: int, task_queue, result_conn,
 
     Serves commands until the ``None`` sentinel:
 
-    - ``("evaluate", task_id, index, bits, params, dispatch)`` — run the
-      flow at batch position ``index`` and send the record (sync mode).
+    - ``("evaluate", task_id, params, dispatch)`` — run the flow at
+      global index ``task_id`` and send the record (sync mode).
     - ``("propose", task_id, dispatch)`` — sample a recipe set from the
       local replica, evaluate it at global index ``task_id``, send the
       record (async mode).
@@ -137,15 +137,15 @@ def _actor_main(actor_id: int, spawn: int, task_queue, result_conn,
             chaos.strike()
             try:
                 if kind == "evaluate":
-                    _, task_id, index, bits, params, dispatch = command
+                    _, task_id, params, dispatch = command
                     report = session.evaluate_at(
                         FlowJob(spec.design, params, spec.dataset_seed),
-                        index=index, dispatch=dispatch,
+                        index=task_id, dispatch=dispatch,
                     )
                     record = ExperienceRecord(
                         task_id=task_id, actor_id=actor_id,
                         dispatch=dispatch, policy_version=version,
-                        recipe_set=bits, report=report,
+                        recipe_set=None, report=report,
                     )
                 elif kind == "propose":
                     _, task_id, dispatch = command

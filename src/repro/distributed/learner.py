@@ -8,13 +8,15 @@ run*, never *what the loop computes*:
 margin-DPO + PPO update, insight refresh, records and checkpoints all
 stay learner-side, in the serial order — and overrides only
 ``_evaluate``: each iteration's K proposals are dispatched over the actor
-pool and reassembled by batch index.  Because actors key per-job
-randomness on that index (``evaluate_at``), and a lost task is re-issued
-with an incremented dispatch count that perturbs only fault streams, the
-trajectory is **bit-identical to the serial loop at any actor count —
-checkpoint bytes included** (arriving QoR dicts are re-keyed with the
-interned literals so pickle's memo layout matches the in-process run;
-see :func:`repro.runtime.checkpoint.intern_keys`).
+pool and reassembled in proposal order.  Because actors key per-job
+randomness on the proposal's global index ``iteration * k + i``
+(``evaluate_at``) — the index the serial loop's ``evaluate`` batch gives
+it — and a lost task is re-issued with an incremented dispatch count that
+perturbs only fault streams, the trajectory is **bit-identical to the
+serial loop at any actor count — checkpoint bytes included** (arriving
+QoR dicts are re-keyed with the interned literals so pickle's memo layout
+matches the in-process run; see
+:func:`repro.runtime.checkpoint.intern_keys`).
 
 **Async mode** runs a version-stamped experience loop: actors hold a
 policy replica, propose with ``(seed, task id, dispatch)``-keyed
@@ -46,21 +48,13 @@ import numpy as np
 from repro.core.online import OnlineFineTuner, OnlineResult, _LoopState
 from repro.core.qor import QoRIntention
 from repro.errors import TrainingError, WorkerPoolError
-from repro.insights.extractor import InsightExtractor
-from repro.netlist.profiles import get_profile
-from repro.nn.optim import Adam
 from repro.observability import get_registry, get_tracer
 from repro.runtime.checkpoint import intern_keys
 from repro.runtime.session import FlowJob
 from repro.runtime.supervisor import Death, SupervisedPool
-from repro.utils.rng import derive_rng
 
 from repro.distributed.actor import ActorSpec, _actor_main, propose_one
 from repro.distributed.experience import ExperienceQueue, ExperienceRecord
-
-#: Task-id stride between sync iterations (keeps ids globally unique
-#: without the learner tracking a counter through the inherited loop).
-_SYNC_STRIDE = 1 << 20
 
 
 class DistributedOnlineFineTuner(OnlineFineTuner):
@@ -231,6 +225,9 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
     # Sync mode: the inherited serial loop, evaluation fanned out.
     # ------------------------------------------------------------------
     def _evaluate(self, design, params_list, seed, iteration=0):
+        # Proposal ``index`` runs as global proposal index ``first +
+        # index``, which is also its task id.
+        first = iteration * self.config.k
         k = len(params_list)
         reports: List[Optional[object]] = [None] * k
         backlog: Deque[Tuple[int, int]] = deque(
@@ -252,7 +249,7 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                         continue
                     reports[index] = self._session.evaluate_at(
                         FlowJob(design, params_list[index], seed),
-                        index=index, dispatch=dispatch,
+                        index=first + index, dispatch=dispatch,
                     )
                     remaining -= 1
                 break
@@ -260,11 +257,9 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                 if not backlog:
                     break
                 index, dispatch = backlog.popleft()
-                task_id = iteration * _SYNC_STRIDE + index
-                pending[task_id] = (index, dispatch)
+                pending[first + index] = (index, dispatch)
                 pool.dispatch(member, (
-                    "evaluate", task_id, index, None,
-                    params_list[index], dispatch,
+                    "evaluate", first + index, params_list[index], dispatch,
                 ))
             answers, deaths = pool.poll()
             for _, record in answers:
@@ -319,37 +314,8 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                    verbose) -> OnlineResult:
         cfg = self.config
         dist = self.dist
-        if cfg.min_successes < 0:
-            raise TrainingError(
-                f"min_successes must be >= 0, got {cfg.min_successes}"
-            )
-        if cfg.checkpoint_every < 1:
-            raise TrainingError(
-                f"checkpoint_every must be >= 1, got {cfg.checkpoint_every}"
-            )
-        rng = derive_rng(cfg.seed, "online", design)
-        extractor = InsightExtractor()
-        profile = get_profile(design)
-        normalizer = dataset.normalizer_for(design, intention)
-        insight = dataset.insight_for(design).copy()
-        optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
-        observed: List[Tuple[Tuple[int, ...], float]] = []
-        seen: set = set()
-        result = OnlineResult(design=design)
-        best_overall: Tuple[float, Optional[Dict[str, float]]] = (
-            -np.inf, None,
-        )
-        start_iteration = 0
-        if cfg.resume_from:
-            start_iteration, insight, best_overall = self._restore(
-                model, optimizer, rng, design, observed, seen, result
-            )
-        state = _LoopState(
-            design=design, model=model, optimizer=optimizer, rng=rng,
-            insight=insight, observed=observed, seen=seen, result=result,
-            best_overall=best_overall, normalizer=normalizer,
-            intention=intention, extractor=extractor, profile=profile,
-            verbose=verbose,
+        state, start_iteration = self._start(
+            model, dataset, design, intention, verbose
         )
         self._spec = self._make_spec(
             design, dataset.seed,
@@ -483,8 +449,8 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
                             "online_weight_broadcasts_total",
                             "policy-version broadcasts to actors",
                         ).inc()
-        result.model = model
-        return result
+        state.result.model = model
+        return state.result
 
     def _set_sync_state(self, version: int, model,
                         state: _LoopState) -> None:
@@ -520,14 +486,9 @@ class DistributedOnlineFineTuner(OnlineFineTuner):
         )
 
 
-def fine_tuner_for(config, flow_fn=None, executor=None) -> OnlineFineTuner:
+def fine_tuner_for(config, flow_fn=None) -> OnlineFineTuner:
     """The right tuner for ``config``: distributed when
     ``config.distributed`` is set, the in-process serial loop otherwise."""
     if config.distributed is not None:
-        if executor is not None:
-            raise TrainingError(
-                "an injected executor cannot cross actor processes; "
-                "drop executor= or config.distributed"
-            )
         return DistributedOnlineFineTuner(config, flow_fn=flow_fn)
-    return OnlineFineTuner(config, executor=executor, flow_fn=flow_fn)
+    return OnlineFineTuner(config, flow_fn=flow_fn)

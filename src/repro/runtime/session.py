@@ -11,31 +11,31 @@ backoff), the worker pool, the QoR cache and the fault plan — all
 declared up front in a typed, validated :class:`RuntimeConfig` — and
 exposes a batch-first API:
 
-``session.evaluate(jobs)``
+``session.evaluate(jobs, first_index=0)``
     Supervised batch; one :class:`FlowOutcome` per job, in submission
-    order, tool failures captured (never raised).
+    order, tool failures captured (never raised).  Job ``i`` runs as
+    global index ``first_index + i``.
 
 ``session.evaluate_strict(jobs)``
     All-or-nothing batch; :class:`~repro.flow.result.FlowResult` per job
     or the first failed job's typed :class:`~repro.errors.FlowError`.
 
 ``session.evaluate_at(job, index)``
-    One job evaluated exactly as position ``index`` of a batch — the
+    One job evaluated exactly as global index ``index`` — the
     distributed actors' door.
-
-``session.run(...)`` / ``session.execute(...)``
-    Single-job conveniences over the same machinery.
 
 What the session guarantees:
 
 - **Determinism regardless of worker count or completion order.**  Every
   per-job randomness source (retry jitter, injected faults) is derived
-  from the job's *batch index*, never from global call order, so a batch
+  from the job's *global index*, never from call order, so a batch
   returns bit-identical :class:`~repro.flow.result.FlowResult`\\ s whether
   it runs on 1, 2 or 8 workers — including under a seeded
-  :class:`~repro.runtime.parallel.FaultPlan`.  Results come back in
-  submission order, and compatible jobs (one design profile, one netlist
-  seed) run as lanes of one stacked ``run_flow_batch`` call.
+  :class:`~repro.runtime.parallel.FaultPlan` — and a caller that
+  evaluates a sequence batch by batch (the online loop) gives every job
+  its own streams.  Results come back in submission order, and
+  compatible jobs (one design profile, one netlist seed) run as lanes of
+  one stacked ``run_flow_batch`` call.
 - **Process-level fault tolerance.**  With ``workers > 1`` the jobs run on
   members of a :class:`~repro.runtime.supervisor.SupervisedPool`, which
   detects worker death, respawns workers under the ``max_respawns``
@@ -57,11 +57,6 @@ pool produces — including the poison/watchdog accounting, driven by
 :class:`~repro.runtime.faults.SimulatedWorkerDeath` instead of real process
 death.  ``tests/test_session_equivalence.py`` holds the session to the
 pre-session code paths.
-
-Tests (and the online loop's ``executor=`` escape hatch) can inject a
-fully-built :class:`~repro.runtime.executor.FlowExecutor` — closures,
-virtual clocks and all — and the session degrades to the exact legacy
-sequential loop: same shared jitter stream across jobs, no batch span.
 """
 
 from __future__ import annotations
@@ -95,7 +90,6 @@ from repro.errors import (
     WorkerCrash,
     WorkerPoolError,
 )
-from repro.flow.parameters import FlowParameters
 from repro.flow.result import FlowResult
 from repro.observability import get_registry, get_tracer, new_lock
 from repro.runtime.cache import QoRCache
@@ -176,9 +170,8 @@ class RuntimeConfig:
             pending jobs, so a small batch still reaches every worker).
             Width is 1 — each job on its own, still through the batch
             kernels — under a ``fault_plan``, ``deadline_s`` or
-            ``watchdog_s`` (per-job policies), for a custom ``flow_fn``
-            and for an injected executor.  Results are bit-identical at
-            any width.
+            ``watchdog_s`` (per-job policies) and for a custom
+            ``flow_fn``.  Results are bit-identical at any width.
     """
 
     workers: int = 1
@@ -286,7 +279,7 @@ class _JobGroup:
     Members share a (profile, seed) pair — one pristine netlist — and
     differ only in parameters, so ``run_flow_batch`` can evaluate them as
     lanes of one compiled design.  The group travels through the supervisor
-    as a single task keyed by its first member's batch index.
+    as a single task keyed by its first member's index.
     """
 
     jobs: Tuple[Tuple[int, FlowJob], ...]
@@ -538,57 +531,22 @@ class FlowSession:
             ``run_flow_batch`` call and the rest as width-1 stacks
             (:func:`repro.flow.batch_runner.run_flow_lane`);
             ``flow_fn=run_flow`` selects the scalar reference
-            (:func:`repro.flow.runner.run_flow`).
-        executor: A pre-built :class:`FlowExecutor` (possibly carrying
-            closures, virtual clocks, wrapped fault injectors) to run
-            every job through sequentially — the exact legacy path,
-            preserved for tests and the online loop's ``executor=``
-            escape hatch.  Requires ``workers == 1``, no cache and no
-            fault plan (those belong to the session, not the injected
-            executor), and is mutually exclusive with ``flow_fn``; it
-            runs one job at a time whatever ``config.batch_size`` says.
+            (:func:`repro.flow.runner.run_flow`).  A custom flow owns its
+            inputs: a pool started for one warms no netlist.
     """
 
     def __init__(
         self,
         config: RuntimeConfig = RuntimeConfig(),
         flow_fn: Optional[Callable] = None,
-        executor: Optional[FlowExecutor] = None,
     ) -> None:
         if not isinstance(config, RuntimeConfig):
             raise RuntimeConfigError(
                 f"config must be a RuntimeConfig, got "
                 f"{type(config).__name__}"
             )
-        if executor is not None:
-            if flow_fn is not None:
-                raise RuntimeConfigError(
-                    "pass flow_fn or a pre-built executor, not both"
-                )
-            if config.workers != 1:
-                raise RuntimeConfigError(
-                    "an injected executor runs in-process; it cannot be "
-                    f"combined with workers={config.workers}"
-                )
-            if config.qor_cache_path is not None:
-                raise RuntimeConfigError(
-                    "an injected executor bypasses the session's QoR "
-                    "cache; drop qor_cache_path or the executor"
-                )
-            if config.fault_plan is not None:
-                raise RuntimeConfigError(
-                    "fault injection for an injected executor belongs in "
-                    "the executor itself, not the session's fault_plan"
-                )
-            if config.watchdog_s is not None:
-                raise RuntimeConfigError(
-                    "the supervision watchdog applies to session-owned "
-                    "workers; an injected executor bypasses it — drop "
-                    "watchdog_s or the executor"
-                )
         self.config = config
         self._flow_fn = flow_fn
-        self._injected = executor
         #: The persistent QoR cache (``None`` when disabled).
         self.cache: Optional[QoRCache] = (
             None if config.qor_cache_path is None
@@ -656,7 +614,7 @@ class FlowSession:
         ``min(batch_size, ceil(n / workers))`` for ``n`` pending jobs, so
         a batch too small to fill the pool at full width still gives
         every worker a share; singletons stay per-job tasks.  Group tasks
-        are keyed by their first member's batch index.
+        are keyed by their first member's index.
         """
         buckets: Dict[Tuple[str, int], List[Tuple[int, FlowJob]]] = {}
         for index, job in pending:
@@ -688,24 +646,21 @@ class FlowSession:
         return tasks
 
     # ------------------------------------------------------------------
-    def evaluate(self, jobs: Sequence) -> List[FlowOutcome]:
+    def evaluate(self, jobs: Sequence,
+                 first_index: int = 0) -> List[FlowOutcome]:
         """Supervised batch evaluation, outcomes in submission order.
 
         Accepts :class:`~repro.runtime.parallel.FlowJob`\\ s or
-        ``(design, params, seed)`` tuples.  Tool failures are captured in
-        each outcome (``outcome.ok`` / ``outcome.error``); non-flow
+        ``(design, params, seed)`` tuples.  Job ``i`` runs as global
+        index ``first_index + i``: it draws that index's retry-jitter and
+        fault streams, exactly as ``evaluate_at(job, index=first_index +
+        i)`` would.  Tool failures are captured in each outcome
+        (``outcome.ok`` / ``outcome.error``); non-flow
         :class:`~repro.errors.ReproError`\\ s — configuration bugs — still
         propagate immediately, exactly as
         :meth:`FlowExecutor.try_execute` does.
         """
         jobs = [_coerce(job) for job in jobs]
-        if self._injected is not None:
-            return [
-                self._injected.try_execute(
-                    job.design, job.params, seed=job.seed
-                )
-                for job in jobs
-            ]
         workers = self.config.workers
         registry = get_registry()
         with get_tracer().span(
@@ -715,8 +670,9 @@ class FlowSession:
                 self._cached(job) for job in jobs
             ]
             pending = [
-                (index, job) for index, job in enumerate(jobs)
-                if outcomes[index] is None
+                (first_index + position, job)
+                for position, job in enumerate(jobs)
+                if outcomes[position] is None
             ]
             batch_span.set_attribute("cached", len(jobs) - len(pending))
             queue_depth = registry.gauge("flow_pool_queue_depth")
@@ -733,7 +689,7 @@ class FlowSession:
                     )
                     if workers == 1 or self.degraded:
                         for index, outcome in self._run_serial(tasks):
-                            outcomes[index] = outcome
+                            outcomes[index - first_index] = outcome
                             queue_depth.dec()
                     else:
                         self._ensure_pool(jobs)
@@ -747,7 +703,7 @@ class FlowSession:
                             # submission order is restored from the index,
                             # so completion order is unobservable.
                             for index, outcome in self._run_pool(tasks):
-                                outcomes[index] = outcome
+                                outcomes[index - first_index] = outcome
                                 queue_depth.dec()
                             after = self._supervision_counters()
                             sup_span.set_attributes(**{
@@ -755,7 +711,7 @@ class FlowSession:
                                 for key in before
                             }, degraded=self.degraded)
                     for index, job in pending:
-                        self._store(job, outcomes[index])
+                        self._store(job, outcomes[index - first_index])
             finally:
                 # A batch leaves no residue: the gauge reads 0 between
                 # batches (a fully-cached batch never touched it, and the
@@ -773,24 +729,20 @@ class FlowSession:
     def evaluate_at(
         self, job, index: int = 0, dispatch: int = 0
     ) -> FlowOutcome:
-        """Evaluate one job exactly as position ``index`` of a batch.
+        """Evaluate one job exactly as global index ``index``.
 
         This is the distributed actors' door: per-job randomness (retry
-        jitter, injected faults) is keyed by the *global* batch index, so
-        an actor that owns proposal ``index`` of an iteration produces, in
-        its own process, the bit-identical outcome :meth:`evaluate` would
-        have produced at that position of the full batch.  ``dispatch``
-        counts prior dispatch attempts of the same logical job (a previous
-        owner died holding it); like the pool's re-dispatch path it
-        perturbs only the fault-injection stream, never the executor's
-        jitter — a re-dispatched job without an active fault plan is
+        jitter, injected faults) is keyed by the global index, so an actor
+        that owns proposal ``index`` of the online loop produces, in its
+        own process, the bit-identical outcome :meth:`evaluate` gives the
+        job it runs at that index.  ``dispatch`` counts prior dispatch
+        attempts of the same logical job (a previous owner died holding
+        it); like the pool's re-dispatch path it perturbs only the
+        fault-injection stream, never the executor's jitter — a
+        re-dispatched job without an active fault plan is
         indistinguishable from the first attempt.
         """
         job = _coerce(job)
-        if self._injected is not None:
-            return self._injected.try_execute(
-                job.design, job.params, seed=job.seed
-            )
         outcome = self._cached(job)
         if outcome is not None:
             return outcome
@@ -809,26 +761,6 @@ class FlowSession:
             if not outcome.ok:
                 raise outcome.error
         return [outcome.result for outcome in outcomes]
-
-    # -- single-job conveniences ---------------------------------------
-    def run(
-        self,
-        design,
-        params: FlowParameters = FlowParameters(),
-        seed: int = 0,
-    ) -> FlowOutcome:
-        """Supervise one flow run; never raises for tool failures."""
-        return self.evaluate([FlowJob(design, params, seed)])[0]
-
-    def execute(
-        self,
-        design,
-        params: FlowParameters = FlowParameters(),
-        seed: int = 0,
-    ) -> FlowResult:
-        """One flow run to success, or the terminal typed
-        :class:`~repro.errors.FlowError`."""
-        return self.evaluate_strict([FlowJob(design, params, seed)])[0]
 
     # -- in-process execution ------------------------------------------
     def _run_serial(
@@ -933,7 +865,9 @@ class FlowSession:
     # -- the worker pool -----------------------------------------------
     def _ensure_pool(self, jobs: Sequence[FlowJob]) -> SupervisedPool:
         if self._pool is None:
-            warm = list(dict.fromkeys(
+            # A custom flow owns its inputs; only the built-in engine
+            # reads the pristine netlists.
+            warm = [] if self._flow_fn is not None else list(dict.fromkeys(
                 (str(job.design), job.seed) for job in jobs
             ))
             if START_METHOD == "fork":
@@ -1087,8 +1021,6 @@ class FlowSession:
         """Runtime counters: workers, jobs/batches run, the supervision
         and stacking counters, and cache occupancy (when one is
         attached)."""
-        if self._injected is not None:
-            return {"workers": 1, "pool_live": False, "injected": True}
         pool = self._pool
         with self._counter_lock:
             frozen_steps = self._batch_stats.get("frozen_steps", 0)

@@ -10,8 +10,8 @@ engine is reached only explicitly, as ``flow_fn=run_flow``.  The
 session-level tests assert the ``batch_size`` knob grows no observable
 behavior: stacked evaluation at workers 1, 2 and 4 returns the same
 bytes as the scalar path, QoR cache hits are identical, and per-job
-policies (fault plans, deadlines, custom flow callables, injected
-executors) run job by job with outcomes identical to ``batch_size=1``.
+policies (fault plans, deadlines, custom flow callables) run job by
+job with outcomes identical to ``batch_size=1``.
 
 The golden pins are regenerated from the scalar engine with::
 
@@ -62,7 +62,6 @@ from repro.recipes.catalog import default_catalog
 from repro.runtime import (
     FaultKind,
     FaultPlan,
-    FlowExecutor,
     FlowJob,
     FlowSession,
     RuntimeConfig,
@@ -708,15 +707,6 @@ class TestKnobRejection:
 
         got = self._outcomes(RuntimeConfig(batch_size=2), flow_fn=toy_flow)
         want = self._outcomes(RuntimeConfig(batch_size=1), flow_fn=toy_flow)
-        assert_same_outcomes(got, want)
-
-    def test_injected_executor_contradicts_batch(self):
-        got = self._outcomes(
-            RuntimeConfig(batch_size=2), executor=FlowExecutor()
-        )
-        want = self._outcomes(
-            RuntimeConfig(batch_size=1), executor=FlowExecutor()
-        )
         assert_same_outcomes(got, want)
 
     def test_executor_layer_rejects_flow_fn(self):

@@ -110,3 +110,13 @@ class TestPpoClipValidation:
     def test_clip_ignored_without_ppo(self):
         config = OnlineConfig(ppo_weight=0.0, ppo_clip=0.0)
         assert config.ppo_clip == 0.0
+
+
+class TestLoopBoundsValidation:
+    def test_bad_bounds_rejected_at_construction(self):
+        """``min_successes`` and ``checkpoint_every`` fail before any
+        flow runs, like ``ppo_clip``."""
+        with pytest.raises(TrainingError, match="min_successes"):
+            OnlineConfig(min_successes=-1)
+        with pytest.raises(TrainingError, match="checkpoint_every"):
+            OnlineConfig(checkpoint_every=0)

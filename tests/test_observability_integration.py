@@ -229,7 +229,7 @@ class TestTrainingWiring:
             # fake_flow carries no stage snapshots, so insight refresh
             # (which re-extracts from the best run) must stay off.
             OnlineConfig(iterations=2, k=3, seed=3, insight_refresh=0.0),
-            executor=FlowExecutor(flow_fn=fake_flow),
+            flow_fn=fake_flow,
         )
         model = InsightAlignModel(seed=3)
         result = tuner.run(model, archive, "D6")
@@ -240,11 +240,16 @@ class TestTrainingWiring:
         assert [s.parent_id for s in iterations] == [run.span_id] * 2
         evaluates = spans["online.evaluate"]
         assert len(evaluates) == 2
-        # Every flow.run nests under an online.evaluate span.
+        # Every flow.run nests under the session's flow.batch, and every
+        # flow.batch under an online.evaluate span.
         evaluate_ids = {s.span_id for s in evaluates}
+        batch_ids = {s.span_id for s in spans["flow.batch"]}
         assert spans["flow.run"]
         assert all(
-            s.parent_id in evaluate_ids for s in spans["flow.run"]
+            s.parent_id in batch_ids for s in spans["flow.run"]
+        )
+        assert all(
+            s.parent_id in evaluate_ids for s in spans["flow.batch"]
         )
         assert len(spans["online.update"]) == 2
         assert registry.counter("online_iterations_total").value == 2

@@ -2,7 +2,10 @@
 
 The flow callable here is a cheap deterministic stand-in for ``run_flow``
 (the loop's contract is the callable's signature and the QoR dict), so
-these tests exercise ten-iteration trajectories in milliseconds.
+these tests exercise ten-iteration trajectories in milliseconds.  Faults
+come from the session's own seeded fault plan, which keys every proposal
+on its global index ``iteration * k + i`` in the serial loop and in the
+distributed learner alike.
 """
 
 import logging
@@ -13,17 +16,18 @@ import pytest
 from repro.core.dataset import DataPoint, OfflineDataset
 from repro.core.model import InsightAlignModel
 from repro.core.online import FlowFailure, OnlineConfig, OnlineFineTuner
+from repro.distributed import DistributedConfig, fine_tuner_for
 from repro.errors import CheckpointError, TrainingError
 from repro.flow.result import FlowResult
 from repro.flow.runner import REQUIRED_QOR_KEYS
 from repro.insights.extractor import InsightVector
 from repro.insights.schema import INSIGHT_DIMS
 from repro.runtime import (
-    FaultInjector,
     FaultKind,
-    FlowExecutor,
+    FaultPlan,
     RetryPolicy,
-    VirtualClock,
+    RuntimeConfig,
+    checkpoint_digest,
 )
 
 DESIGN = "D6"  # real profile name: the loop resolves it via get_profile()
@@ -62,27 +66,26 @@ def fake_flow(design, params, seed=0):
     )
 
 
-def faulty_executor(rate, seed=5, max_attempts=2):
-    clock = VirtualClock()
-    injector = FaultInjector(
-        rate=rate, seed=seed, hang_s=100.0, clock=clock,
-        kinds=[FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT_QOR],
-    )
-    executor = FlowExecutor(
-        flow_fn=injector.wrap(fake_flow),
+def faulty_runtime(rate, seed=5, max_attempts=2):
+    """A session fault plan: each job gets its own injector and virtual
+    clock, keyed by the proposal's global index."""
+    return RuntimeConfig(
+        fault_plan=FaultPlan(
+            rate=rate, seed=seed, hang_s=100.0,
+            kinds=(FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT_QOR),
+        ),
         policy=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.5),
-        deadline_s=10.0, clock=clock, sleep=clock.sleep, seed=seed,
+        deadline_s=10.0, seed=seed,
     )
-    return executor, injector
 
 
 class TestGracefulDegradation:
     def test_ten_iterations_survive_30pct_faults(self, archive, caplog):
         """The ISSUE acceptance scenario: 30% fault rate, 10 iterations."""
-        executor, injector = faulty_executor(rate=0.3)
         tuner = OnlineFineTuner(
-            OnlineConfig(iterations=10, k=3, insight_refresh=0.0, seed=3),
-            executor=executor,
+            OnlineConfig(iterations=10, k=3, insight_refresh=0.0, seed=3,
+                         runtime=faulty_runtime(rate=0.3)),
+            flow_fn=fake_flow,
         )
         model = InsightAlignModel(seed=5)
         initial = {n: w.copy() for n, w in model.state_dict().items()}
@@ -90,7 +93,7 @@ class TestGracefulDegradation:
             result = tuner.run(model, archive, DESIGN)
 
         assert len(result.records) == 10
-        assert injector.fault_count > 0
+        assert len(result.failures) > 0
         # Every record accounts for all K proposals: survivors + failures.
         for record in result.records:
             assert len(record.recipe_sets) + len(record.failures) == 3
@@ -112,10 +115,10 @@ class TestGracefulDegradation:
 
     def test_total_blackout_skips_updates_but_completes(self, archive):
         """rate=1.0: zero survivors, no update, run still finishes."""
-        executor, _ = faulty_executor(rate=1.0, max_attempts=1)
         tuner = OnlineFineTuner(
-            OnlineConfig(iterations=3, k=2, insight_refresh=0.0, seed=3),
-            executor=executor,
+            OnlineConfig(iterations=3, k=2, insight_refresh=0.0, seed=3,
+                         runtime=faulty_runtime(rate=1.0, max_attempts=1)),
+            flow_fn=fake_flow,
         )
         model = InsightAlignModel(seed=5)
         initial = {n: w.copy() for n, w in model.state_dict().items()}
@@ -132,11 +135,11 @@ class TestGracefulDegradation:
 
     def test_min_successes_floor_gates_the_update(self, archive):
         """With a floor of K, any failure in the batch skips the update."""
-        executor, injector = faulty_executor(rate=0.5, max_attempts=1)
         tuner = OnlineFineTuner(
             OnlineConfig(iterations=4, k=3, min_successes=3,
-                         insight_refresh=0.0, seed=3),
-            executor=executor,
+                         insight_refresh=0.0, seed=3,
+                         runtime=faulty_runtime(rate=0.5, max_attempts=1)),
+            flow_fn=fake_flow,
         )
         result = tuner.run(InsightAlignModel(seed=5), archive, DESIGN)
         for record in result.records:
@@ -146,19 +149,90 @@ class TestGracefulDegradation:
     def test_fault_free_executor_updates_every_iteration(self, archive):
         tuner = OnlineFineTuner(
             OnlineConfig(iterations=3, k=3, insight_refresh=0.0, seed=3),
-            executor=FlowExecutor(flow_fn=fake_flow),
+            flow_fn=fake_flow,
         )
         result = tuner.run(InsightAlignModel(seed=5), archive, DESIGN)
         assert all(record.updated for record in result.records)
         assert result.failures == []
 
 
+class TestGlobalProposalKeying:
+    """Each proposal draws the fault stream of its global index, so
+    iterations fail different slots — in the serial loop and, identically,
+    over sync-mode actors."""
+
+    def test_iterations_do_not_replay_the_first_failures(self, archive):
+        tuner = OnlineFineTuner(
+            OnlineConfig(
+                iterations=8, k=3, insight_refresh=0.0, seed=3,
+                runtime=RuntimeConfig(
+                    fault_plan=FaultPlan(
+                        rate=0.5, seed=5,
+                        kinds=(FaultKind.CRASH, FaultKind.HANG,
+                               FaultKind.CORRUPT_QOR),
+                    ),
+                    policy=RetryPolicy(max_attempts=1), deadline_s=10.0,
+                ),
+            ),
+            flow_fn=fake_flow,
+        )
+        slots = []
+        evaluate = tuner._evaluate
+
+        def spy(*args, **kwargs):
+            reports = evaluate(*args, **kwargs)
+            slots.append(tuple(
+                "ok" if report.ok else type(report.error).__name__
+                for report in reports
+            ))
+            return reports
+
+        tuner._evaluate = spy
+        result = tuner.run(InsightAlignModel(seed=5), archive, DESIGN)
+        assert len(slots) == 8
+        assert result.failures, "a 50% fault rate over 24 runs must kill some"
+        # Keyed by batch position, every iteration would replay
+        # iteration 0's failed slots and error types.
+        assert len(set(slots)) > 1, slots
+
+    def test_sync_actors_match_serial_under_a_fault_plan(
+        self, archive, tmp_path
+    ):
+        runs = {}
+        for name, distributed in (
+            ("serial", None), ("sync", DistributedConfig(actors=2)),
+        ):
+            ckpt = str(tmp_path / f"{name}.ck")
+            model = InsightAlignModel(seed=9)
+            config = OnlineConfig(
+                iterations=4, k=3, insight_refresh=0.0, seed=3,
+                runtime=faulty_runtime(rate=0.5, max_attempts=1),
+                checkpoint_path=ckpt,
+                distributed=distributed,
+            )
+            with fine_tuner_for(config, flow_fn=fake_flow) as tuner:
+                result = tuner.run(model, archive, DESIGN)
+            runs[name] = (model, result, checkpoint_digest(ckpt))
+        (serial_model, serial, serial_digest) = runs["serial"]
+        (sync_model, sync, sync_digest) = runs["sync"]
+        assert serial.failures, "the plan injected no terminal failure"
+        for attr in ("recipe_sets", "scores", "qors", "best_score_so_far",
+                     "updated"):
+            assert [getattr(r, attr) for r in serial.records] == \
+                [getattr(r, attr) for r in sync.records], attr
+        assert [vars(f) for f in serial.failures] == \
+            [vars(f) for f in sync.failures]
+        for name, value in serial_model.state_dict().items():
+            np.testing.assert_array_equal(
+                value, sync_model.state_dict()[name], err_msg=name
+            )
+        assert sync_digest == serial_digest
+
+
 class TestOnlineCheckpointResume:
     def run_loop(self, archive, config):
         model = InsightAlignModel(seed=9)
-        tuner = OnlineFineTuner(
-            config, executor=FlowExecutor(flow_fn=fake_flow)
-        )
+        tuner = OnlineFineTuner(config, flow_fn=fake_flow)
         result = tuner.run(model, archive, DESIGN)
         return model, result
 
@@ -195,7 +269,7 @@ class TestOnlineCheckpointResume:
         tuner = OnlineFineTuner(
             OnlineConfig(iterations=2, k=2, insight_refresh=0.0, seed=3,
                          resume_from=ckpt),
-            executor=FlowExecutor(flow_fn=fake_flow),
+            flow_fn=fake_flow,
         )
         with pytest.raises(CheckpointError, match="design"):
             tuner.run(InsightAlignModel(seed=9), archive, "D10")
@@ -204,10 +278,10 @@ class TestOnlineCheckpointResume:
         with pytest.raises(TrainingError, match="min_successes"):
             OnlineFineTuner(
                 OnlineConfig(iterations=1, min_successes=-1),
-                executor=FlowExecutor(flow_fn=fake_flow),
+                flow_fn=fake_flow,
             ).run(InsightAlignModel(seed=1), archive, DESIGN)
         with pytest.raises(TrainingError, match="checkpoint_every"):
             OnlineFineTuner(
                 OnlineConfig(iterations=1, checkpoint_every=0),
-                executor=FlowExecutor(flow_fn=fake_flow),
+                flow_fn=fake_flow,
             ).run(InsightAlignModel(seed=1), archive, DESIGN)

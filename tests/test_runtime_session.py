@@ -4,7 +4,7 @@ Three concerns live here:
 
 1. ``RuntimeConfig`` rejects every malformed field with a typed
    ``RuntimeConfigError`` before any flow runs, and ``FlowSession``
-   rejects contradictory compositions (injected executor + pool/cache).
+   rejects anything but a ``RuntimeConfig``.
 2. Flow consumers take their runtime as ``runtime=RuntimeConfig(...)``
    and produce the same results through it.
 3. The refactor's structural invariant: nothing outside
@@ -12,7 +12,8 @@ Three concerns live here:
    every consumer goes through a session, the only flow-runtime door.
 
 ``evaluate_at`` — the distributed actors' single-job door — is pinned to
-``evaluate`` outcome by outcome under faults, poison and the QoR cache.
+``evaluate`` outcome by outcome under faults, poison and the QoR cache,
+and ``evaluate(jobs, first_index=n)`` to ``evaluate_at`` at ``n + i``.
 """
 
 import pathlib
@@ -36,7 +37,6 @@ from repro.observability import (
 from repro.runtime import (
     FaultKind,
     FaultPlan,
-    FlowExecutor,
     FlowJob,
     FlowSession,
     RetryPolicy,
@@ -102,36 +102,6 @@ class TestFlowSessionComposition:
         with pytest.raises(RuntimeConfigError):
             FlowSession({"workers": 2})
 
-    def test_injected_executor_conflicts(self):
-        executor = FlowExecutor(flow_fn=toy_flow)
-        with pytest.raises(RuntimeConfigError):
-            FlowSession(
-                RuntimeConfig(workers=2), executor=executor
-            )
-        with pytest.raises(RuntimeConfigError):
-            FlowSession(
-                RuntimeConfig(qor_cache_path="/tmp/qor"), executor=executor
-            )
-        with pytest.raises(RuntimeConfigError):
-            FlowSession(
-                RuntimeConfig(fault_plan=FaultPlan(rate=1.0)),
-                executor=executor,
-            )
-        with pytest.raises(RuntimeConfigError):
-            FlowSession(
-                RuntimeConfig(), flow_fn=toy_flow, executor=executor
-            )
-
-    def test_single_job_conveniences(self):
-        profile = tiny_profile()
-        with FlowSession(RuntimeConfig()) as session:
-            outcome = session.run(profile, FlowParameters(), seed=3)
-            assert outcome.ok and not outcome.cached
-            result = session.execute(profile, FlowParameters(), seed=3)
-        direct = run_flow(profile, FlowParameters(), seed=3)
-        assert outcome.result.qor == direct.qor
-        assert result.qor == direct.qor
-
     def test_evaluate_accepts_tuples_and_preserves_order(self):
         profile = tiny_profile()
         jobs = [
@@ -162,13 +132,10 @@ class TestFlowSessionComposition:
     def test_stats_shape(self):
         profile = tiny_profile()
         with FlowSession(RuntimeConfig()) as session:
-            session.run(profile, FlowParameters(), seed=1)
+            session.evaluate([FlowJob(profile, FlowParameters(), 1)])
             stats = session.stats()
         assert stats["workers"] == 1
         assert stats["jobs_run"] == 1
-        injected = FlowSession(RuntimeConfig(), executor=FlowExecutor())
-        assert injected.stats()["injected"] is True
-        injected.close()  # no-op: nothing to release
 
 
 class TestEvaluateAt:
@@ -187,14 +154,14 @@ class TestEvaluateAt:
         return (outcome.ok, type(outcome.error).__name__,
                 str(outcome.error), len(outcome.attempts))
 
-    def _pinned(self, config):
+    def _pinned(self, config, first_index=0):
         """Evaluate every job both ways on one session; compare."""
         with FlowSession(config, flow_fn=toy_flow) as session:
             at = [
-                session.evaluate_at(job, index=index)
+                session.evaluate_at(job, index=first_index + index)
                 for index, job in enumerate(self.JOBS)
             ]
-            batch = session.evaluate(self.JOBS)
+            batch = session.evaluate(self.JOBS, first_index=first_index)
         assert [self._view(o) for o in at] == \
             [self._view(o) for o in batch]
         return at
@@ -211,6 +178,24 @@ class TestEvaluateAt:
         ))
         assert any(not o.ok for o in at)              # faults did fire
         assert any(o.ok and len(o.attempts) == 2 for o in at)  # retried
+
+    def test_first_index_offsets_every_stream(self):
+        """``evaluate(jobs, first_index=n)[i]`` is ``evaluate_at(jobs[i],
+        index=n + i)``: a later batch draws its own fault streams."""
+        config = RuntimeConfig(
+            fault_plan=FaultPlan(
+                rate=0.5,
+                kinds=(FaultKind.CRASH, FaultKind.CORRUPT_QOR,
+                       FaultKind.HANG),
+                seed=17, hang_s=1000.0,
+            ),
+            deadline_s=10.0,
+            policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
+        )
+        at = self._pinned(config, first_index=9)
+        assert any(not o.ok or len(o.attempts) > 1 for o in at)  # fired
+        assert [self._view(o) for o in at] != \
+            [self._view(o) for o in self._pinned(config)]
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_worker_kill_quarantine(self, workers):
@@ -249,7 +234,7 @@ class TestTraceToggle:
         previous = set_tracer(Tracer(exporter=exporter))
         try:
             with FlowSession(config) as session:
-                session.run(profile, FlowParameters(), seed=2)
+                session.evaluate([FlowJob(profile, FlowParameters(), 2)])
         finally:
             set_tracer(previous)
         return exporter.records()
@@ -266,9 +251,9 @@ class TestTraceToggle:
             previous = set_tracer(tracer)
             try:
                 with FlowSession(RuntimeConfig()) as session:
-                    outcomes.append(
-                        session.execute(profile, FlowParameters(), 4)
-                    )
+                    outcomes.append(session.evaluate_strict(
+                        [FlowJob(profile, FlowParameters(), 4)]
+                    )[0])
             finally:
                 set_tracer(previous)
         assert outcomes[0].qor == outcomes[1].qor

@@ -1,9 +1,10 @@
 """FlowSession vs the pre-refactor paths: bit-identical, not approximate.
 
 Each test reconstructs a legacy call pattern exactly as the consumers
-wired it before the session layer existed — raw ``run_flow`` loops, a
-bare sequential ``FlowExecutor`` — and asserts the session-routed
-replacement produces the same bits at workers 1, 2, and 4, with and
+wired it before the session layer existed — raw ``run_flow`` loops, the
+online loop job by job on the scalar engine — and asserts the
+session-routed replacement produces the same bits at workers 1, 2, and 4,
+with and
 without the persistent QoR cache: QoR dicts compared with ``==`` (float
 exactness), typed errors by class and message, model weights with
 ``assert_array_equal``, and online checkpoints byte-for-byte on disk.
@@ -22,7 +23,6 @@ from repro.flow.sweep import set_knob, sweep
 from repro.runtime import (
     FaultKind,
     FaultPlan,
-    FlowExecutor,
     FlowJob,
     FlowSession,
     RetryPolicy,
@@ -151,9 +151,8 @@ class TestBaselineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Online loop: legacy = the sequential FlowExecutor the tuner used to
-# build itself (preserved verbatim as the injected-executor path), on
-# the scalar engine it ran then.
+# Online loop: legacy = the tuner on its default runtime with the scalar
+# engine it ran before the session layer, one job at a time.
 # ----------------------------------------------------------------------
 class TestOnlineEquivalence:
     BASE = dict(iterations=2, k=5, seed=21, explore_samples=1)
@@ -165,11 +164,11 @@ class TestOnlineEquivalence:
             runtime=RuntimeConfig(workers=1),
         )
 
-    def _run(self, archive, config, executor=None):
+    def _run(self, archive, config, flow_fn=None):
         from repro.core.model import InsightAlignModel
 
         model = InsightAlignModel(seed=21)
-        tuner = OnlineFineTuner(config, executor=executor)
+        tuner = OnlineFineTuner(config, flow_fn=flow_fn)
         try:
             result = tuner.run(model, archive, "D6")
             return result, model, tuner.session.stats()
@@ -182,7 +181,7 @@ class TestOnlineEquivalence:
         result, model, _ = self._run(
             archive,
             OnlineConfig(checkpoint_path=str(path), **self.BASE),
-            executor=FlowExecutor(flow_fn=run_flow),
+            flow_fn=run_flow,
         )
         return result, model, path.read_bytes()
 

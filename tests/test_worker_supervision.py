@@ -19,12 +19,15 @@ from repro.errors import (
 )
 from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.result import FlowResult
-from repro.flow.runner import REQUIRED_QOR_KEYS
+from repro.flow.runner import (
+    REQUIRED_QOR_KEYS,
+    clear_netlist_cache,
+    netlist_cache_info,
+)
 from repro.observability import get_registry, render_supervision
 from repro.runtime import (
     FaultKind,
     FaultPlan,
-    FlowExecutor,
     FlowJob,
     FlowSession,
     RuntimeConfig,
@@ -84,10 +87,24 @@ class TestKnobValidation:
         assert config.watchdog_s == 2.5
         assert RuntimeConfig().max_respawns == 8
 
-    def test_session_rejects_watchdog_with_injected_executor(self):
-        config = RuntimeConfig(watchdog_s=1.0)
-        with pytest.raises(RuntimeConfigError, match="watchdog"):
-            FlowSession(config, executor=FlowExecutor(flow_fn=quick_flow))
+
+class TestPoolWarmup:
+    def test_custom_flow_pool_warms_no_netlist(self):
+        """A custom flow owns its inputs: starting a pool for one
+        generates no pristine netlist in the parent (nor in a worker)."""
+        clear_netlist_cache()
+        jobs = [
+            FlowJob("D6", FlowParameters(
+                opt=OptParams(vt_swap_bias=1.0 + 0.05 * index)
+            ), seed=3)
+            for index in range(4)
+        ]
+        with FlowSession(RuntimeConfig(workers=2),
+                         flow_fn=quick_flow) as session:
+            reports = session.evaluate(jobs)
+            assert session.stats()["pool_live"]
+        assert all(report.ok for report in reports)
+        assert netlist_cache_info()["size"] == 0
 
 
 class TestPoisonQuarantine:
