@@ -72,7 +72,10 @@ class TransformerDecoderLayer(Module):
     def __call__(self, x: Tensor, memory: Tensor) -> Tensor:
         """Decode ``x`` ((L, dim) or batched (B, L, dim)) over ``memory``."""
         length = x.shape[-2]
-        x = x + self.self_attn(self.norm1(x), self.norm1(x), mask=causal_mask(length))
+        # Self-attention reads one normalization twice; the key/value side is
+        # its twin, so each side backpropagates through LN1 on its own.
+        normed = self.norm1(x)
+        x = x + self.self_attn(normed, normed.twin(), mask=causal_mask(length))
         x = x + self.cross_attn(self.norm2(x), memory)
         x = x + self.ffn(self.norm3(x))
         return x

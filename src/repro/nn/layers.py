@@ -130,11 +130,7 @@ class LayerNorm(Module):
         self.beta = self.register("beta", Tensor(np.zeros(dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * ((variance + self.epsilon) ** -0.5)
-        return normed * self.gamma + self.beta
+        return x.layer_norm(self.gamma, self.beta, self.epsilon)
 
 
 class FeedForward(Module):

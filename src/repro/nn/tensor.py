@@ -1,29 +1,32 @@
 """Reverse-mode autograd over numpy arrays.
 
 A small tape-based engine that keeps the graph apart from the values.  Each
-op records a :class:`_Node` whose ``edges`` pair every *tracked* input's
-tape entry with a backward closure mapping the op's output gradient to that
-input's.  A tensor's tape entry is the node of the op that made it, or the
-tensor itself if it is a leaf that requires grad; an op whose inputs are
-all untracked records nothing.  A closure captures only the arrays its own
-formula reads (shapes, masks, the other operand, its output), never a
+op records a :class:`_Node`: the tape entries of its *tracked* inputs and
+one backward function that maps the op's output gradient to a gradient for
+each of them.  A tensor's tape entry is the node of the op that made it, or
+the tensor itself if it is a leaf that requires grad; an op whose inputs
+are all untracked records nothing.  A backward captures only the arrays its
+own formula reads (shapes, masks, the other operand, its output), never a
 ``Tensor``, so no node refers back to a value: an intermediate whose array
-no closure captured is freed as soon as the forward stops referencing it,
+no backward captured is freed as soon as the forward stops referencing it,
 and a graph holds only what its backward will read.
 
 :meth:`Tensor.backward` visits the entries depth-first in parent order and
 sums each entry's gradient contributions in the reverse of that order.
 The order fixes how every tensor's contributions are associated, so it is
 part of the engine's output: reordering the walk would move gradients, and
-trained weights, at the last bits.  Broadcasting is handled by summing
-gradients over broadcast axes (``_unbroadcast``).  Only float64 arrays are
-supported — the model is tiny, precision beats speed here, and float64
-makes the finite-difference gradient checks in the test suite tight.
+trained weights, at the last bits.  Each node's backward is released once
+it has run, so the arrays it captured are freed while the backward pass
+goes on, and a graph can be backpropagated only once.  Broadcasting is
+handled by summing gradients over broadcast axes (``_unbroadcast``).  Only
+float64 arrays are supported — the model is tiny, precision beats speed
+here, and float64 makes the finite-difference gradient checks in the test
+suite tight.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,28 +47,77 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+#: Rows of per-row weight-gradient products formed at once (``_weight_grad``).
+_GRAD_ROWS = 64
+
+
 class _Node:
-    """One recorded op: ``(parent entry, backward closure)`` per tracked input."""
+    """One recorded op: its tracked inputs' tape entries and one backward.
 
-    __slots__ = ("edges",)
+    ``backward(grad)`` yields one gradient per entry of ``parents``, in
+    order; an entry appears once per contribution it receives.  Both are
+    set to ``None`` once the backward has run.
+    """
 
-    def __init__(self, edges: Tuple[Tuple[object, Callable], ...]) -> None:
-        self.edges = edges
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: Tuple[object, ...], backward: Callable) -> None:
+        self.parents = parents
+        self.backward = backward
 
 
-def _visit(entry, order: list, visited: set) -> None:
+def _parents(entry) -> Tuple[object, ...]:
+    if not isinstance(entry, _Node):
+        return ()
+    if entry.parents is None:
+        raise RuntimeError(
+            "backward() through a graph an earlier backward() already "
+            "freed; run the forward again to backpropagate again"
+        )
+    return entry.parents
+
+
+def _postorder(root) -> list:
     """Depth-first postorder over the tape, parents in recorded order.
 
-    A module function on purpose: a recursive closure would be a reference
-    cycle holding ``order``, so every graph would wait for the cyclic GC.
+    An explicit stack of parent iterators, so the walk needs no recursion
+    however deep the graph is.
     """
-    if id(entry) in visited:
-        return
-    visited.add(id(entry))
-    if isinstance(entry, _Node):
-        for parent, _ in entry.edges:
-            _visit(parent, order, visited)
-    order.append(entry)
+    order: list = []
+    visited = {id(root)}
+    stack = [(root, iter(_parents(root)))]
+    while stack:
+        entry, parents = stack[-1]
+        for parent in parents:
+            if id(parent) not in visited:
+                visited.add(id(parent))
+                stack.append((parent, iter(_parents(parent))))
+                break
+        else:
+            stack.pop()
+            order.append(entry)
+    return order
+
+
+def _weight_grad(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``(np.swapaxes(a, -1, -2) @ grad).sum(axis=0)`` for 3-D ``a``, ``grad``.
+
+    The ``(B, in, out)`` per-row products are formed ``_GRAD_ROWS`` rows at
+    a time, and each block is summed after the running total, in row
+    order: the same sequential axis-0 sum as the whole stack at once.
+    """
+    total = (np.swapaxes(a[:_GRAD_ROWS], -1, -2) @ grad[:_GRAD_ROWS]).sum(axis=0)
+    if a.shape[0] > _GRAD_ROWS:
+        block = np.empty((_GRAD_ROWS + 1,) + total.shape)
+        for start in range(_GRAD_ROWS, a.shape[0], _GRAD_ROWS):
+            stop = min(start + _GRAD_ROWS, a.shape[0])
+            rows = block[:stop - start + 1]
+            rows[0] = total
+            np.matmul(
+                np.swapaxes(a[start:stop], -1, -2), grad[start:stop], out=rows[1:]
+            )
+            total = rows.sum(axis=0)
+    return total
 
 
 class Tensor:
@@ -141,23 +193,34 @@ class Tensor:
         root = self._entry()
         if root is None:
             return
-        order: List[object] = []
-        _visit(root, order, set())
+        order = _postorder(root)
         grads = {id(root): np.asarray(grad, dtype=np.float64)}
-        for entry in reversed(order):
-            node_grad = grads.pop(id(entry), None)
-            if node_grad is None:
-                continue
+        while order:
+            entry = order.pop()
+            node_grad = grads.pop(id(entry))
             if isinstance(entry, Tensor):
                 if entry.requires_grad:
                     entry.grad = (
                         node_grad if entry.grad is None else entry.grad + node_grad
                     )
                 continue
-            for parent, grad_fn in entry.edges:
-                pgrad = grad_fn(node_grad)
+            for parent, pgrad in zip(entry.parents, entry.backward(node_grad)):
                 key = id(parent)
                 grads[key] = pgrad if key not in grads else grads[key] + pgrad
+            entry.parents = entry.backward = None
+
+    def twin(self) -> "Tensor":
+        """This value on a second tape node with the same parents and backward.
+
+        Gradients reaching ``self`` and its twin are not summed first: each
+        node runs the op's backward on its own gradient, as if the op had
+        been computed twice, while the forward's arrays are held once.
+        """
+        if self._node is None:
+            return self
+        out = Tensor(self.data)
+        out._node = _Node(self._node.parents, self._node.backward)
+        return out
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -240,6 +303,8 @@ class Tensor:
                 gb = grad * a
             elif len(sa) == 1:
                 gb = np.outer(a, grad) if len(sb) == 2 else a[:, None] * grad[..., None, :]
+            elif len(sa) == 3 and len(sb) == 2:
+                gb = _weight_grad(a, grad)
             else:
                 gb = np.swapaxes(a, -1, -2) @ grad
                 if len(sb) == 1 and gb.ndim > 1:
@@ -375,6 +440,66 @@ class Tensor:
         sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
         return _record(out_data, (self, lambda grad: grad * (1.0 - sig)))
 
+    def layer_norm(self, gamma: "Tensor", beta: "Tensor", epsilon: float) -> "Tensor":
+        """``(x - mean) / sqrt(var + epsilon) * gamma + beta`` over the last axis.
+
+        One tape node with the bits of the op-by-op composition (``mean``,
+        ``-``, ``*``, ``mean``, ``+``, ``** -0.5``, ``*``, ``*``, ``+``): the
+        forward evaluates the same expressions in the same order, and the
+        backward replays each op's closure, ``_unbroadcast`` sums included.
+        ``x`` receives its centred-path and its mean-path gradient as two
+        contributions, as the composition's ``x - mean`` and ``x.sum`` give
+        them.  It keeps ``centered``, the reciprocal deviation and
+        ``var + epsilon``, and recomputes the normalized value.
+        """
+        a, sx, sg, sb = self.data, self.shape, gamma.shape, beta.shape
+        count = float(sx[-1])
+        mean = a.sum(axis=-1, keepdims=True) / count
+        sm = mean.shape
+        centered = a + -mean
+        variance = (centered * centered).sum(axis=-1, keepdims=True) / count
+        shifted = variance + epsilon
+        scale = shifted ** -0.5
+        gamma_data = gamma.data
+        out_data = centered * scale * gamma_data + beta.data
+        entries = (self._entry(), gamma._entry(), beta._entry())
+        need_x, need_gamma, need_beta = (entry is not None for entry in entries)
+
+        def backward(grad):
+            if need_beta:
+                grad_beta = _unbroadcast(grad, sb)
+            if need_gamma:
+                grad_gamma = _unbroadcast(grad * (centered * scale), sg)
+            if need_x:
+                grad_normed = _unbroadcast(grad * gamma_data, centered.shape)
+                grad_centered = _unbroadcast(grad_normed * scale, centered.shape)
+                grad_scale = _unbroadcast(grad_normed * centered, scale.shape)
+                del grad_normed
+                grad_shifted = grad_scale * -0.5 * shifted ** -1.5
+                grad_square = np.broadcast_to(grad_shifted / count, centered.shape).copy()
+                square_term = _unbroadcast(grad_square * centered, centered.shape)
+                del grad_square
+                grad_centered = grad_centered + square_term + square_term
+                del square_term
+                yield grad_centered
+                grad_mean = -_unbroadcast(grad_centered, sm)
+                del grad_centered
+                yield np.broadcast_to(grad_mean / count, sx).copy()
+            if need_gamma:
+                yield grad_gamma
+            if need_beta:
+                yield grad_beta
+
+        x_entry, gamma_entry, beta_entry = entries
+        parents = tuple(
+            entry for entry in (x_entry, x_entry, gamma_entry, beta_entry)
+            if entry is not None
+        )
+        out = Tensor(out_data)
+        if parents:
+            out._node = _Node(parents, backward)
+        return out
+
 
 def _scatter_add(source: np.ndarray, key) -> Callable[[np.ndarray], np.ndarray]:
     """Backward of ``source[key]``: the gradient added into zeros like ``source``.
@@ -398,12 +523,18 @@ def _record(out_data: np.ndarray, *edges: Tuple[Tensor, Callable]) -> Tensor:
     input is dropped together with its closure (and whatever it captured),
     and an op left with no tracked input records nothing.
     """
-    kept = []
+    parents, closures = [], []
     for tensor, backward in edges:
         entry = tensor._entry()
         if entry is not None:
-            kept.append((entry, backward))
+            parents.append(entry)
+            closures.append(backward)
     out = Tensor(out_data)
-    if kept:
-        out._node = _Node(tuple(kept))
+    if parents:
+        out._node = _Node(tuple(parents), _each(tuple(closures)))
     return out
+
+
+def _each(closures: Tuple[Callable, ...]) -> Callable:
+    """One backward that runs each edge's closure in turn."""
+    return lambda grad: (backward(grad) for backward in closures)

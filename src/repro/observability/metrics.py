@@ -253,6 +253,11 @@ class Histogram:
             return {key: state.summary()
                     for key, state in self._states.items()}
 
+    def label_keys(self) -> List[LabelKey]:
+        """The label key of every child, with no summary computed."""
+        with self._lock:
+            return list(self._states)
+
     def aggregate_summary(
         self, match: Optional[Callable[[Dict[str, str]], bool]] = None
     ) -> Dict[str, float]:

@@ -64,7 +64,7 @@ def used_service_ids(registry: Optional[MetricsRegistry] = None) -> Set[str]:
             continue
         family = reg.get(name)
         keys: Iterable = (
-            family.summaries() if family.kind == "histogram"
+            family.label_keys() if family.kind == "histogram"
             else family.values()
         )
         for key in keys:

@@ -21,6 +21,7 @@ import pytest
 
 import repro.serving.metrics as serving_metrics
 from repro.observability import MetricsRegistry, set_registry
+from repro.observability.metrics import _HistogramState
 from repro.serving.metrics import (
     ServingMetrics,
     aggregate_serving_snapshot,
@@ -67,6 +68,27 @@ class TestServiceIdCollisions:
 
     def test_explicit_id_respected(self, fresh_registry):
         assert ServingMetrics(service_id="gw").service_id == "gw"
+
+    def test_auto_id_reads_label_keys_without_percentiles(self, fresh_registry,
+                                                          monkeypatch):
+        """Building the N-th service must not summarise the N-1 before it."""
+        for _ in range(4):
+            earlier = ServingMetrics()
+            for value in (0.1, 0.2, 0.3):
+                earlier.latency_s.observe(value)
+                earlier.queue_wait_s.observe(value)
+        calls = []
+        original = _HistogramState.percentile
+
+        def counting(state, q):
+            calls.append(q)
+            return original(state, q)
+
+        monkeypatch.setattr(_HistogramState, "percentile", counting)
+        metrics = ServingMetrics()
+        assert len(used_service_ids(fresh_registry)) == 5
+        assert metrics.service_id.startswith("svc")
+        assert calls == []
 
 
 class TestAggregation:
