@@ -62,6 +62,12 @@ class AlignmentConfig:
     # pins recommendations near archive-like densities.
     bc_anchor_weight: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "pairs_per_design", "checkpoint_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise TrainingError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class AlignmentHistory:
@@ -98,10 +104,6 @@ class AlignmentTrainer:
         if len(dataset) == 0:
             raise TrainingError("cannot align on an empty dataset")
         cfg = self.config
-        if cfg.checkpoint_every < 1:
-            raise TrainingError(
-                f"checkpoint_every must be >= 1, got {cfg.checkpoint_every}"
-            )
         rng = derive_rng(cfg.seed, "alignment")
         if model is None:
             model = InsightAlignModel(seed=cfg.seed)
@@ -263,10 +265,25 @@ class AlignmentTrainer:
         return checkpoint.step + 1
 
     def _eval_loss(self, model, insights, winners, losers, margins) -> float:
-        """Margin-DPO loss on a fixed batch, no gradient step."""
-        logp_w, logp_l = _fused_pair_log_probs(model, insights, winners, losers)
-        hinge = (Tensor(margins) - (logp_w - logp_l)).clip_min(0.0)
-        return float(hinge.mean().item())
+        """Margin-DPO loss on a fixed batch, no gradient step.
+
+        Nothing backpropagates through the probe, so the parameters are
+        untracked for its forward: it records no tape and keeps none of
+        the arrays a backward would read.
+        """
+        params = model.parameters()
+        tracked = [param.requires_grad for param in params]
+        for param in params:
+            param.requires_grad = False
+        try:
+            logp_w, logp_l = _fused_pair_log_probs(
+                model, insights, winners, losers
+            )
+            hinge = (Tensor(margins) - (logp_w - logp_l)).clip_min(0.0)
+            return float(hinge.mean().item())
+        finally:
+            for param, flag in zip(params, tracked):
+                param.requires_grad = flag
 
     # ------------------------------------------------------------------
     def _prepare(self, dataset: OfflineDataset, intention: QoRIntention):

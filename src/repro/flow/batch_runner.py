@@ -22,11 +22,16 @@ lanes per stack), and every job that does not stack — a lone job, or any
 job under a per-job fault plan, deadline or watchdog — runs as a width-1
 stack through :func:`run_flow_lane`.
 
-The scalar ``run_flow`` remains the bit-exactness reference, reachable from
-a session as ``flow_fn=run_flow``: every snapshot dict, QoR expression and
-report produced here reuses the scalar AST order, and the equivalence suite
-asserts bitwise identity against it and against the committed golden pins
-(``tests/golden/flow_pins.json``).
+Both engines build their stage snapshots, signoff QoR dict and
+:class:`~repro.flow.result.FlowResult` through the same builders in
+:mod:`repro.flow.runner` (``_placement_snapshot`` through
+``_signoff_result``); they differ only in the stage algorithms and in the
+netlist form the builders' arguments are read from.  The scalar
+``run_flow`` remains the bit-exactness reference, reachable from a session
+as ``flow_fn=run_flow``: the equivalence suite asserts bitwise identity
+against it, and the committed golden pins (``tests/golden/flow_pins.json``)
+fix the builders' key order (``list(got) == list(want)``) and values
+(rel 1e-9).
 """
 
 from __future__ import annotations
@@ -36,24 +41,23 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cts.batch import synthesize_clock_tree_batch
-from repro.cts.skew import analyze_skew
 from repro.flow.batch_opt import optimize_batch
 from repro.flow.parameters import FlowParameters
 from repro.flow.result import FlowResult, StageSnapshot
 from repro.flow.runner import (
-    _endpoint_slack_stats,
-    _runtime_proxy,
+    _cts_snapshot,
+    _optimization_snapshot,
+    _placement_snapshot,
+    _routing_snapshot,
+    _signoff_result,
     design_template,
     fresh_netlists,
-    validate_qor,
 )
-from repro.flow.stages import FlowStage
 from repro.netlist.compiled import LaneState
 from repro.netlist.profiles import DesignProfile, get_profile
 from repro.placement.batch import place_batch
 from repro.power.batch import analyze_power_batch
 from repro.routing.batch import global_route_batch
-from repro.routing.drc import estimate_drcs
 from repro.timing.vector_sta import LaneTiming, run_sta_batch
 
 # One job: (design, params, seed) — either a tuple or any object with
@@ -146,25 +150,10 @@ def _run_group(
     )
     pre_routes = run_sta_batch(design, lanes, constraints, [None] * B, scales)
     for b in range(B):
-        placement, pre_route = placements[b], pre_routes[b]
-        snapshots[b].append(StageSnapshot(FlowStage.PLACEMENT, {
-            "hpwl_um": placement.total_hpwl_um,
-            "peak_density": placement.peak_density,
-            "congestion_early": placement.congestion_checkpoints["early"]["peak"],
-            "congestion_mid": placement.congestion_checkpoints["mid"]["peak"],
-            "congestion_late": placement.congestion_checkpoints["late"]["peak"],
-            "congestion_final": placement.peak_congestion,
-            "congestion_hotspot_fraction":
-                placement.final_congestion.get("hotspot_fraction", 0.0),
-            "pre_route_wns_ps": pre_route.wns_ps,
-            "pre_route_tns_ps": pre_route.tns_ps,
-            "pre_route_violations": float(pre_route.violating_endpoints),
-            "endpoint_count": float(pre_route.endpoint_count),
-            "weak_cell_pct": pre_route.weak_cell_pct,
-            "mean_positive_slack_ps": _mean_positive(pre_route.setup),
-            **template.placement_stats,
-            "period_ps": constraints.period_ps,
-        }))
+        snapshots[b].append(_placement_snapshot(
+            placements[b], pre_routes[b], _mean_positive(pre_routes[b].setup),
+            template.placement_stats, constraints.period_ps,
+        ))
 
     # ---- Stage 2: clock-tree synthesis --------------------------------
     trees = synthesize_clock_tree_batch(
@@ -172,19 +161,7 @@ def _run_group(
     )
     post_cts_list = run_sta_batch(design, lanes, constraints, trees, scales)
     for b in range(B):
-        tree, post_cts = trees[b], post_cts_list[b]
-        snapshots[b].append(StageSnapshot(FlowStage.CTS, {
-            "global_skew_ps": tree.global_skew_ps,
-            "mean_latency_ps": tree.mean_latency_ps,
-            "clock_buffers": float(tree.buffer_count),
-            "clock_wirelength_um": tree.wirelength_um,
-            "post_cts_wns_ps": post_cts.wns_ps,
-            "post_cts_tns_ps": post_cts.tns_ps,
-            "harmful_skew_paths": float(post_cts.harmful_skew_paths),
-            "hold_wns_ps": post_cts.hold_wns_ps,
-            "hold_violations": float(post_cts.hold_violating_endpoints),
-            "tree_depth": float(tree.tree_depth),
-        }))
+        snapshots[b].append(_cts_snapshot(trees[b], post_cts_list[b]))
 
     # ---- Stage 3: global routing ---------------------------------------
     critical_nets = [
@@ -196,19 +173,7 @@ def _run_group(
     )
     post_routes = run_sta_batch(design, lanes, constraints, trees, scales)
     for b in range(B):
-        routing, post_route = routings[b], post_routes[b]
-        snapshots[b].append(StageSnapshot(FlowStage.ROUTING, {
-            "overflow_initial": routing.overflow_initial,
-            "overflow_residual": routing.overflow_total,
-            "detour_wirelength_um": routing.detour_wirelength_um,
-            "routed_wirelength_um": routing.routed_wirelength_um,
-            "detour_ratio": routing.detour_ratio,
-            "promoted_nets": float(routing.promoted_nets),
-            "post_route_wns_ps": post_route.wns_ps,
-            "post_route_tns_ps": post_route.tns_ps,
-            "route_congestion_peak": routing.congestion.get("peak", 0.0),
-            "route_congestion_p95": routing.congestion.get("p95", 0.0),
-        }))
+        snapshots[b].append(_routing_snapshot(routings[b], post_routes[b]))
 
     # ---- Stage 4: optimization -----------------------------------------
     # Starts from the post-route STA: nothing ran since.  A lane that hold
@@ -219,19 +184,7 @@ def _run_group(
         post_routes, lambda: fresh_netlists(profile, seed, 1)[0],
     )
     for b in range(B):
-        opt_result = opt_results[b]
-        final_timing = opt_result.report
-        snapshots[b].append(StageSnapshot(FlowStage.OPTIMIZATION, {
-            "upsized": float(opt_result.upsized),
-            "downsized": float(opt_result.downsized),
-            "hold_fix_count": float(opt_result.hold_fix_count),
-            "useful_skew_endpoints": float(opt_result.useful_skew_endpoints),
-            "passes_run": float(opt_result.passes_run),
-            "pre_opt_tns_ps": opt_result.pre_tns_ps,
-            "post_opt_tns_ps": final_timing.tns_ps,
-            "post_opt_wns_ps": final_timing.wns_ps,
-            "tns_improvement_ps": opt_result.pre_tns_ps - final_timing.tns_ps,
-        }))
+        snapshots[b].append(_optimization_snapshot(opt_results[b]))
 
     # ---- Stage 5: signoff ----------------------------------------------
     # Hold fixing may have diverged lane topologies; power runs per
@@ -252,64 +205,16 @@ def _run_group(
         for b, report in zip(members, reports):
             powers[b] = report
 
-    out: List[FlowResult] = []
-    scale = profile.reported_scale
-    for b in range(B):
-        lane = lanes[b]
-        cell_count = lane.design.cell_count
-        area = lane.total_area()
-        final_timing = opt_results[b].report
-        power = powers[b]
-        final_skew = analyze_skew(trees[b], final_timing.critical_launch_capture)
-        drcs = estimate_drcs(routings[b], placements[b].peak_density, cell_count)
-        runtime = _runtime_proxy(params_list[b])
-        qor = {
-            "tns_ns": final_timing.tns_ps * 1e-3 * scale ** 0.5,
-            "wns_ns": final_timing.wns_ps * 1e-3,
-            "hold_tns_ns": final_timing.hold_tns_ps * 1e-3 * scale ** 0.5,
-            "power_mw": power.total_mw * scale,
-            "leakage_mw": power.leakage_mw * scale,
-            "area_um2": area * scale,
-            "wirelength_um": routings[b].routed_wirelength_um * scale,
-            "drc_count": float(drcs),
-            "hold_fix_count": float(opt_results[b].hold_fix_count),
-            "runtime_proxy": runtime,
-        }
-        slack_stats = _endpoint_slack_stats(final_timing, constraints.period_ps)
-        snapshots[b].append(StageSnapshot(FlowStage.SIGNOFF, {
-            "tns_ps": final_timing.tns_ps,
-            "wns_ps": final_timing.wns_ps,
-            "power_mw_raw": power.total_mw,
-            "dynamic_mw_raw": power.dynamic_mw,
-            "leakage_mw_raw": power.leakage_mw,
-            "leakage_fraction": power.leakage_fraction,
-            "sequential_fraction": power.sequential_fraction,
-            "clock_mw_raw": power.clock_mw,
-            "drc_count": float(drcs),
-            "global_skew_ps": final_skew.global_skew_ps,
-            "harmful_skew_paths": float(final_skew.harmful_skew_paths),
-            "weak_cell_pct": final_timing.weak_cell_pct,
-            "critical_path_stages": float(len(final_timing.critical_path)),
-            "wire_delay_share":
-                _wire_delay_share(lane, final_timing.critical_path),
-            "slack_spread_ps": slack_stats["spread"],
-            "near_critical_ratio": slack_stats["near_critical"],
-            "recovery_headroom": slack_stats["headroom"],
-            "endpoint_count": float(final_timing.endpoint_count),
-            "cell_count": float(cell_count),
-            "area_um2_raw": area,
-            "runtime_proxy": runtime,
-        }))
-        validate_qor(qor, design=profile.name)
-        out.append(FlowResult(
-            design=profile.name,
-            qor=qor,
-            snapshots=snapshots[b],
-            timing=final_timing,
-            power=power,
-            skew=final_skew,
-        ))
-    return out
+    return [
+        _signoff_result(
+            profile, params_list[b], snapshots[b], placements[b], trees[b],
+            routings[b], opt_results[b], powers[b], lanes[b].design.cell_count,
+            lanes[b].total_area(),
+            _wire_delay_share(lanes[b], opt_results[b].report.critical_path),
+            constraints.period_ps,
+        )
+        for b in range(B)
+    ]
 
 
 # ----------------------------------------------------------------------

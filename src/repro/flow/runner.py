@@ -224,7 +224,52 @@ def run_flow(
     # ---- Stage 1: placement -------------------------------------------
     placement = place(netlist, params.placer, seed=seed)
     pre_route = run_sta(netlist, constraints, None, delay_scale=delay_scale)
-    snapshots.append(StageSnapshot(FlowStage.PLACEMENT, {
+    snapshots.append(_placement_snapshot(
+        placement, pre_route, _mean_positive_slack(pre_route),
+        _placement_statistics(netlist), constraints.period_ps,
+    ))
+
+    # ---- Stage 2: clock-tree synthesis --------------------------------
+    tree = synthesize_clock_tree(netlist, params.cts, seed=seed)
+    post_cts = run_sta(netlist, constraints, tree, delay_scale=delay_scale)
+    snapshots.append(_cts_snapshot(tree, post_cts))
+
+    # ---- Stage 3: global routing ---------------------------------------
+    critical_nets = _critical_net_names(netlist, post_cts)
+    routing = global_route(netlist, placement.grid, params.route,
+                           critical_nets=critical_nets, seed=seed)
+    post_route = run_sta(netlist, constraints, tree, delay_scale=delay_scale)
+    snapshots.append(_routing_snapshot(routing, post_route))
+
+    # ---- Stage 4: optimization -----------------------------------------
+    opt_result = optimize(netlist, constraints, tree, params.opt, params.tradeoff)
+    snapshots.append(_optimization_snapshot(opt_result))
+
+    # ---- Stage 5: signoff ----------------------------------------------
+    leakage_bias = profile.leakage_bias * params.opt.vt_swap_bias
+    power = analyze_power(
+        netlist, tree,
+        leakage_bias=leakage_bias,
+        clock_gating_efficiency=params.opt.clock_gating_efficiency,
+    )
+    return _signoff_result(
+        profile, params, snapshots, placement, tree, routing, opt_result,
+        power, netlist.cell_count, netlist.total_cell_area_um2(),
+        _wire_delay_share(netlist, opt_result.report), constraints.period_ps,
+    )
+
+
+# ----------------------------------------------------------------------
+# Result builders, shared with the stacked engine (``batch_runner``): each
+# takes one stage's results and builds that stage's snapshot, so both
+# engines emit the same keys in the same order from the same expressions.
+# ----------------------------------------------------------------------
+def _placement_snapshot(placement, pre_route, mean_positive_slack_ps: float,
+                        statistics: Dict[str, float],
+                        period_ps: float) -> StageSnapshot:
+    """The PLACEMENT snapshot of a placement and its pre-route STA, with
+    the topology-only ``statistics`` of ``_placement_statistics``."""
+    return StageSnapshot(FlowStage.PLACEMENT, {
         "hpwl_um": placement.total_hpwl_um,
         "peak_density": placement.peak_density,
         "congestion_early": placement.congestion_checkpoints["early"]["peak"],
@@ -238,15 +283,16 @@ def run_flow(
         "pre_route_violations": float(pre_route.violating_endpoints),
         "endpoint_count": float(pre_route.endpoint_count),
         "weak_cell_pct": pre_route.weak_cell_pct,
-        "mean_positive_slack_ps": _mean_positive_slack(pre_route),
-        **_placement_statistics(netlist),
-        "period_ps": constraints.period_ps,
-    }))
+        "mean_positive_slack_ps": mean_positive_slack_ps,
+        **statistics,
+        "period_ps": period_ps,
+    })
 
-    # ---- Stage 2: clock-tree synthesis --------------------------------
-    tree = synthesize_clock_tree(netlist, params.cts, seed=seed)
-    post_cts = run_sta(netlist, constraints, tree, delay_scale=delay_scale)
-    snapshots.append(StageSnapshot(FlowStage.CTS, {
+
+def _cts_snapshot(tree, post_cts) -> StageSnapshot:
+    """The CTS snapshot of a clock tree, before optimization retunes it,
+    and its post-CTS STA."""
+    return StageSnapshot(FlowStage.CTS, {
         "global_skew_ps": tree.global_skew_ps,
         "mean_latency_ps": tree.mean_latency_ps,
         "clock_buffers": float(tree.buffer_count),
@@ -257,14 +303,12 @@ def run_flow(
         "hold_wns_ps": post_cts.hold_wns_ps,
         "hold_violations": float(post_cts.hold_violating_endpoints),
         "tree_depth": float(tree.tree_depth),
-    }))
+    })
 
-    # ---- Stage 3: global routing ---------------------------------------
-    critical_nets = _critical_net_names(netlist, post_cts)
-    routing = global_route(netlist, placement.grid, params.route,
-                           critical_nets=critical_nets, seed=seed)
-    post_route = run_sta(netlist, constraints, tree, delay_scale=delay_scale)
-    snapshots.append(StageSnapshot(FlowStage.ROUTING, {
+
+def _routing_snapshot(routing, post_route) -> StageSnapshot:
+    """The ROUTING snapshot of a global route and its post-route STA."""
+    return StageSnapshot(FlowStage.ROUTING, {
         "overflow_initial": routing.overflow_initial,
         "overflow_residual": routing.overflow_total,
         "detour_wirelength_um": routing.detour_wirelength_um,
@@ -275,12 +319,13 @@ def run_flow(
         "post_route_tns_ps": post_route.tns_ps,
         "route_congestion_peak": routing.congestion.get("peak", 0.0),
         "route_congestion_p95": routing.congestion.get("p95", 0.0),
-    }))
+    })
 
-    # ---- Stage 4: optimization -----------------------------------------
-    opt_result = optimize(netlist, constraints, tree, params.opt, params.tradeoff)
+
+def _optimization_snapshot(opt_result) -> StageSnapshot:
+    """The OPTIMIZATION snapshot of an optimization result."""
     final_timing = opt_result.report
-    snapshots.append(StageSnapshot(FlowStage.OPTIMIZATION, {
+    return StageSnapshot(FlowStage.OPTIMIZATION, {
         "upsized": float(opt_result.upsized),
         "downsized": float(opt_result.downsized),
         "hold_fix_count": float(opt_result.hold_fix_count),
@@ -290,33 +335,41 @@ def run_flow(
         "post_opt_tns_ps": final_timing.tns_ps,
         "post_opt_wns_ps": final_timing.wns_ps,
         "tns_improvement_ps": opt_result.pre_tns_ps - final_timing.tns_ps,
-    }))
+    })
 
-    # ---- Stage 5: signoff ----------------------------------------------
-    leakage_bias = profile.leakage_bias * params.opt.vt_swap_bias
-    power = analyze_power(
-        netlist, tree,
-        leakage_bias=leakage_bias,
-        clock_gating_efficiency=params.opt.clock_gating_efficiency,
-    )
+
+def _signoff_result(profile: DesignProfile, params: FlowParameters,
+                    snapshots: List[StageSnapshot], placement, tree, routing,
+                    opt_result, power, cell_count: int, area_um2: float,
+                    wire_delay_share: float, period_ps: float) -> FlowResult:
+    """Close one run at signoff: skew and DRC estimates, the scaled QoR
+    dict, the SIGNOFF snapshot (appended to ``snapshots``), the QoR check
+    and the :class:`FlowResult`.
+
+    ``cell_count``, ``area_um2`` and ``wire_delay_share`` describe the
+    final netlist, which each engine holds in its own form.
+
+    Raises:
+        CorruptQoR: If a QoR metric is not finite (``validate_qor``).
+    """
+    final_timing = opt_result.report
     final_skew = analyze_skew(tree, final_timing.critical_launch_capture)
-    drcs = estimate_drcs(routing, placement.peak_density, netlist.cell_count)
+    drcs = estimate_drcs(routing, placement.peak_density, cell_count)
     runtime = _runtime_proxy(params)
     scale = profile.reported_scale
-
     qor = {
         "tns_ns": final_timing.tns_ps * 1e-3 * scale ** 0.5,
         "wns_ns": final_timing.wns_ps * 1e-3,
         "hold_tns_ns": final_timing.hold_tns_ps * 1e-3 * scale ** 0.5,
         "power_mw": power.total_mw * scale,
         "leakage_mw": power.leakage_mw * scale,
-        "area_um2": netlist.total_cell_area_um2() * scale,
+        "area_um2": area_um2 * scale,
         "wirelength_um": routing.routed_wirelength_um * scale,
         "drc_count": float(drcs),
         "hold_fix_count": float(opt_result.hold_fix_count),
         "runtime_proxy": runtime,
     }
-    slack_stats = _endpoint_slack_stats(final_timing, constraints.period_ps)
+    slack_stats = _endpoint_slack_stats(final_timing, period_ps)
     snapshots.append(StageSnapshot(FlowStage.SIGNOFF, {
         "tns_ps": final_timing.tns_ps,
         "wns_ps": final_timing.wns_ps,
@@ -331,16 +384,15 @@ def run_flow(
         "harmful_skew_paths": float(final_skew.harmful_skew_paths),
         "weak_cell_pct": final_timing.weak_cell_pct,
         "critical_path_stages": float(len(final_timing.critical_path)),
-        "wire_delay_share": _wire_delay_share(netlist, final_timing),
+        "wire_delay_share": wire_delay_share,
         "slack_spread_ps": slack_stats["spread"],
         "near_critical_ratio": slack_stats["near_critical"],
         "recovery_headroom": slack_stats["headroom"],
         "endpoint_count": float(final_timing.endpoint_count),
-        "cell_count": float(netlist.cell_count),
-        "area_um2_raw": netlist.total_cell_area_um2(),
+        "cell_count": float(cell_count),
+        "area_um2_raw": area_um2,
         "runtime_proxy": runtime,
     }))
-
     validate_qor(qor, design=profile.name)
     return FlowResult(
         design=profile.name,

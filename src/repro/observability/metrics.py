@@ -258,39 +258,6 @@ class Histogram:
         with self._lock:
             return list(self._states)
 
-    def aggregate_summary(
-        self, match: Optional[Callable[[Dict[str, str]], bool]] = None
-    ) -> Dict[str, float]:
-        """One merged summary over the label children selected by
-        ``match(labels)`` (all children when ``None``).
-
-        Lifetime aggregates (count / sum / min / max) merge exactly;
-        percentiles are computed over the *union* of the children's
-        retained sample windows — the correct rollup for cluster-level
-        latency, where averaging per-child percentiles would be wrong.
-        """
-        with self._lock:
-            states = [
-                state for key, state in self._states.items()
-                if match is None or match(dict(key))
-            ]
-            count = sum(state.count for state in states)
-            total = sum(state.sum for state in states)
-            mins = [state.min for state in states if state.min is not None]
-            maxs = [state.max for state in states if state.max is not None]
-            samples = [v for state in states for v in state.samples]
-        out = {
-            "count": count,
-            "mean": total / count if count else 0.0,
-            "min": min(mins) if mins else 0.0,
-            "max": max(maxs) if maxs else 0.0,
-        }
-        arr = np.asarray(samples, dtype=float) if samples else None
-        for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-            out[name] = float(np.percentile(arr, q)) if arr is not None \
-                else 0.0
-        return out
-
 
 class BoundCounter:
     """A counter family bound to one fixed label set."""

@@ -9,7 +9,7 @@ programmatic API for tests and notebooks.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.observability.exporters import TraceFile
 from repro.observability.trace import SpanRecord
@@ -70,6 +70,22 @@ def render_span_tree(trace: TraceFile, root: SpanRecord,
     return "\n".join(lines)
 
 
+def _render_section(metrics: Dict[str, object],
+                    table: Sequence[Tuple[str, str]]) -> str:
+    """One metric-table section: every labelled value of the ``table``
+    families — (name, human label) pairs in display order — found in a
+    trace's metrics snapshot, or ``""`` when none of them is there."""
+    lines: List[str] = []
+    for name, label in table:
+        family = metrics.get(name)
+        if not family:
+            continue
+        for labels, value in sorted(family.get("values", {}).items()):
+            shown = labels if labels != "{}" else ""
+            lines.append(f"{label + shown:<32} {value:g}")
+    return "\n".join(lines)
+
+
 # Worker-pool supervision families, rendered as their own report section
 # so a chaotic run's recovery story is readable without grepping the full
 # metrics snapshot.  (name, human label) in display order.
@@ -85,15 +101,7 @@ SUPERVISION_METRICS = (
 def render_supervision(metrics: Dict[str, object]) -> str:
     """The worker-pool supervision counters of a trace's metrics snapshot,
     or ``""`` when the run never touched the supervised pool."""
-    lines: List[str] = []
-    for name, label in SUPERVISION_METRICS:
-        family = metrics.get(name)
-        if not family:
-            continue
-        for labels, value in sorted(family.get("values", {}).items()):
-            shown = labels if labels != "{}" else ""
-            lines.append(f"{label + shown:<32} {value:g}")
-    return "\n".join(lines)
+    return _render_section(metrics, SUPERVISION_METRICS)
 
 
 # Batch-simulator families, rendered as their own section: how many
@@ -111,15 +119,7 @@ BATCH_METRICS = (
 def render_batch(metrics: Dict[str, object]) -> str:
     """The batch-simulator counters of a trace's metrics snapshot, or
     ``""`` when the run never used stacked evaluation."""
-    lines: List[str] = []
-    for name, label in BATCH_METRICS:
-        family = metrics.get(name)
-        if not family:
-            continue
-        for labels, value in sorted(family.get("values", {}).items()):
-            shown = labels if labels != "{}" else ""
-            lines.append(f"{label + shown:<32} {value:g}")
-    return "\n".join(lines)
+    return _render_section(metrics, BATCH_METRICS)
 
 
 # Actor/learner distributed-online families, rendered as their own
@@ -141,15 +141,7 @@ DISTRIBUTED_METRICS = (
 def render_distributed(metrics: Dict[str, object]) -> str:
     """The actor/learner counters of a trace's metrics snapshot, or
     ``""`` when the run never used the distributed online loop."""
-    lines: List[str] = []
-    for name, label in DISTRIBUTED_METRICS:
-        family = metrics.get(name)
-        if not family:
-            continue
-        for labels, value in sorted(family.get("values", {}).items()):
-            shown = labels if labels != "{}" else ""
-            lines.append(f"{label + shown:<32} {value:g}")
-    return "\n".join(lines)
+    return _render_section(metrics, DISTRIBUTED_METRICS)
 
 
 # Serving-cluster families, rendered as their own section: routing
@@ -175,15 +167,17 @@ CLUSTER_METRICS = (
 def render_cluster(metrics: Dict[str, object]) -> str:
     """The serving-cluster counters of a trace's metrics snapshot, or
     ``""`` when the run never served through a cluster."""
-    lines: List[str] = []
-    for name, label in CLUSTER_METRICS:
-        family = metrics.get(name)
-        if not family:
-            continue
-        for labels, value in sorted(family.get("values", {}).items()):
-            shown = labels if labels != "{}" else ""
-            lines.append(f"{label + shown:<32} {value:g}")
-    return "\n".join(lines)
+    return _render_section(metrics, CLUSTER_METRICS)
+
+
+# The metric-table sections of a report: (title, renderer) in display
+# order, each shown only when the run touched its families.
+_METRIC_SECTIONS = (
+    ("worker supervision", render_supervision),
+    ("batch simulator", render_batch),
+    ("online actor/learner", render_distributed),
+    ("serving cluster", render_cluster),
+)
 
 
 def render_metrics(metrics: Dict[str, object]) -> str:
@@ -219,22 +213,11 @@ def render_trace_report(trace: TraceFile, top: int = 12,
         for root in slowest:
             sections.append(render_span_tree(trace, root))
     if trace.metrics:
-        supervision = render_supervision(trace.metrics)
-        if supervision:
-            sections.append("\n=== worker supervision ===")
-            sections.append(supervision)
-        batch = render_batch(trace.metrics)
-        if batch:
-            sections.append("\n=== batch simulator ===")
-            sections.append(batch)
-        distributed = render_distributed(trace.metrics)
-        if distributed:
-            sections.append("\n=== online actor/learner ===")
-            sections.append(distributed)
-        cluster = render_cluster(trace.metrics)
-        if cluster:
-            sections.append("\n=== serving cluster ===")
-            sections.append(cluster)
+        for title, render in _METRIC_SECTIONS:
+            section = render(trace.metrics)
+            if section:
+                sections.append(f"\n=== {title} ===")
+                sections.append(section)
         sections.append("\n=== metrics snapshot ===")
         sections.append(render_metrics(trace.metrics))
     return "\n".join(sections)

@@ -426,16 +426,17 @@ def _execute_group(config: RuntimeConfig, group: _JobGroup,
     ], stats=local)
 
 
-def _warm_netlists(warm: Sequence[Tuple[str, int]]) -> None:
-    """Pre-seed the netlist cache with every ``(design, seed)`` in ``warm``."""
+def _warm_netlists(warm: Sequence[Tuple[object, int]]) -> None:
+    """Pre-seed the netlist cache with the pristine bytes and the compiled
+    template of every ``(design, seed)`` in ``warm``; a design is a name
+    or a :class:`~repro.netlist.profiles.DesignProfile`."""
     if not warm:
         return
     from repro.flow.runner import (
-        _fresh_netlist,
+        design_template,
         netlist_cache_info,
         netlist_cache_limit,
     )
-    from repro.netlist.profiles import get_profile
 
     # Warm the whole batch's working set even when it exceeds the
     # configured LRU cap; the cap (and eviction) is restored on exit even
@@ -443,7 +444,7 @@ def _warm_netlists(warm: Sequence[Tuple[str, int]]) -> None:
     with netlist_cache_limit(max(netlist_cache_info()["limit"], len(warm))):
         for design, seed in warm:
             try:
-                _fresh_netlist(get_profile(design), seed)
+                design_template(design, seed)
             except ReproError:
                 # Warming is an optimization, never a failure mode; an
                 # unknown design will surface properly when its job runs.
@@ -452,7 +453,7 @@ def _warm_netlists(warm: Sequence[Tuple[str, int]]) -> None:
 
 def _supervised_worker(worker_id: int, spawn: int, task_queue, result_conn,
                        config: RuntimeConfig, flow_fn: Optional[Callable],
-                       warm: Sequence[Tuple[str, int]]) -> None:
+                       warm: Sequence[Tuple[object, int]]) -> None:
     """Main of one supervised pool worker.
 
     Marks the process as a pool worker (so ``WORKER_KILL`` faults die for
@@ -868,12 +869,12 @@ class FlowSession:
             # A custom flow owns its inputs; only the built-in engine
             # reads the pristine netlists.
             warm = [] if self._flow_fn is not None else list(dict.fromkeys(
-                (str(job.design), job.seed) for job in jobs
+                (job.design, job.seed) for job in jobs
             ))
             if START_METHOD == "fork":
-                # Generate each pristine netlist once in the parent; every
-                # forked worker — including respawns — inherits the warm
-                # cache copy-on-write.
+                # Generate and compile each pristine netlist once in the
+                # parent; every forked worker — including respawns —
+                # inherits the warm cache copy-on-write.
                 _warm_netlists(warm)
                 warm = []
             config, flow_fn = self.config, self._flow_fn

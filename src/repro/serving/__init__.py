@@ -40,7 +40,7 @@ from repro.serving.batch_decode import (
 from repro.serving.cache import ResultCache, quantize_insight
 from repro.serving.cluster import ClusterConfig, ServingCluster
 from repro.serving.engine import DecodeState, InferenceEngine
-from repro.serving.metrics import Counter, Histogram, ServingMetrics
+from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import (
     ROUTING_POLICIES,
@@ -64,9 +64,7 @@ __all__ = [
     "AdmissionController",
     "ClusterConfig",
     "ConsistentHashRouter",
-    "Counter",
     "DecodeState",
-    "Histogram",
     "InferenceEngine",
     "LeastLoadedRouter",
     "MicroBatcher",

@@ -1,14 +1,12 @@
 """Serving metrics, backed by the unified observability registry.
 
-Historically this module carried its own ad-hoc ``Counter`` / ``Histogram``
-implementations; those now live in :mod:`repro.observability.metrics` (the
-classes are re-exported here unchanged in behaviour for the unlabelled
-case) and :class:`ServingMetrics` is a thin facade: every counter and
-histogram is a label-bound child of a process-wide ``serving_*`` family,
-labelled ``service=<id>`` so several co-resident services stay separable
-in one Prometheus scrape while :meth:`ServingMetrics.snapshot` — and
-therefore ``RecommendationService.stats()`` — keeps its original
-plain-dict shape exactly.
+:class:`ServingMetrics` is a thin facade: every counter and histogram is a
+label-bound child of a process-wide ``serving_*`` family, labelled
+``service=<id>`` so several co-resident services stay separable in one
+Prometheus scrape, while :meth:`ServingMetrics.snapshot` — and therefore
+``RecommendationService.stats()`` — builds the one plain-dict view of a
+service's metrics.  The metric primitives themselves live only in
+:mod:`repro.observability.metrics`; this module re-exports none of them.
 """
 
 from __future__ import annotations
@@ -16,38 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Optional, Set
 
-# Back-compat re-exports: the serving layer's original metric primitives
-# are now the registry's (identical unlabelled behaviour).
-from repro.observability.metrics import (
-    Counter,  # noqa: F401
-    Histogram,  # noqa: F401
-    MetricsRegistry,
-    get_registry,
-)
+from repro.observability.metrics import MetricsRegistry, get_registry
 
 _SERVICE_IDS = itertools.count()
-
-#: The serving counter families, as (snapshot path, family name) pairs —
-#: the single source of truth for both per-service snapshots and the
-#: cluster-level aggregation.
-_COUNTER_FAMILIES = (
-    (("requests", "submitted"), "serving_requests_submitted_total"),
-    (("requests", "completed"), "serving_requests_completed_total"),
-    (("requests", "expired"), "serving_requests_expired_total"),
-    (("requests", "rejected"), "serving_requests_rejected_total"),
-    (("batches",), "serving_batches_total"),
-    (("hot_swaps",), "serving_hot_swaps_total"),
-    (("cache", "hits"), "serving_cache_hits_total"),
-    (("cache", "misses"), "serving_cache_misses_total"),
-)
-
-_HISTOGRAM_FAMILIES = (
-    ("queue_wait_s", "serving_queue_wait_seconds"),
-    ("latency_s", "serving_request_latency_seconds"),
-    ("batch_occupancy", "serving_batch_occupancy"),
-    ("queue_depth", "serving_queue_depth_at_dispatch"),
-)
-
 
 def used_service_ids(registry: Optional[MetricsRegistry] = None) -> Set[str]:
     """Every ``service=`` label value present in any ``serving_*`` family.
@@ -170,56 +139,3 @@ class ServingMetrics:
             "queue_depth": self.queue_depth.summary(),
         }
 
-
-def aggregate_serving_snapshot(
-    registry: Optional[MetricsRegistry] = None,
-    services: Optional[Iterable[str]] = None,
-) -> Dict[str, object]:
-    """Sum the ``serving_*`` families across services — the cluster view.
-
-    Returns the exact :meth:`ServingMetrics.snapshot` dict shape (plus a
-    ``services`` list), with every counter summed over each selected
-    ``service=`` label child exactly once and every histogram merged
-    sample-exactly through
-    :meth:`~repro.observability.metrics.Histogram.aggregate_summary` —
-    so ``latency_s["p99"]`` is the percentile of the *pooled* samples,
-    not an average of per-service percentiles.
-
-    ``services`` restricts the rollup (e.g. a cluster summing only its
-    replicas' ids); ``None`` aggregates every service in the registry.
-    """
-    reg = registry if registry is not None else get_registry()
-    wanted = None if services is None else {str(s) for s in services}
-
-    def match(labels: Dict[str, str]) -> bool:
-        service = labels.get("service")
-        if service is None:
-            return False
-        return wanted is None or service in wanted
-
-    snapshot: Dict[str, object] = {
-        "services": sorted(
-            wanted if wanted is not None else used_service_ids(reg)
-        ),
-        "requests": {},
-        "cache": {},
-    }
-    for path, name in _COUNTER_FAMILIES:
-        family = reg.get(name)
-        value = family.aggregate(match) if family is not None else 0
-        node = snapshot
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
-    hits = snapshot["cache"]["hits"]
-    misses = snapshot["cache"]["misses"]
-    snapshot["cache"]["hit_rate"] = (
-        hits / (hits + misses) if hits + misses else 0.0
-    )
-    for key, name in _HISTOGRAM_FAMILIES:
-        family = reg.get(name)
-        snapshot[key] = (
-            family.aggregate_summary(match) if family is not None
-            else Histogram(name).aggregate_summary()
-        )
-    return snapshot

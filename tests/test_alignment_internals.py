@@ -175,3 +175,18 @@ class TestNonFiniteGuards:
         state = optimizer.state_dict()
         assert state["step_count"] == 0
         assert all(not m.any() for m in state["m"] + state["v"])
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 0),
+        ("batch_size", -3),
+        ("pairs_per_design", 0),
+        ("pairs_per_design", -1),
+        ("checkpoint_every", 0),
+    ])
+    def test_out_of_range_refused_at_construction(self, name, value):
+        """A bound error surfaces when the config is built, as a typed
+        error naming the field, not later inside sampling or training."""
+        with pytest.raises(TrainingError, match=f"{name} must be >= 1"):
+            AlignmentConfig(**{name: value})

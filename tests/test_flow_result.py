@@ -1,9 +1,19 @@
 """Tests for FlowResult/StageSnapshot containers and the stages enum."""
 
+import ast
+import pathlib
+
 import pytest
 
+from conftest import tiny_profile
+
+from repro.flow.batch_runner import run_flow_batch
+from repro.flow.parameters import FlowParameters, OptParams
 from repro.flow.result import FlowResult, StageSnapshot
+from repro.flow.runner import REQUIRED_QOR_KEYS, run_flow
 from repro.flow.stages import FlowStage
+
+SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestStages:
@@ -60,3 +70,57 @@ class TestRealFlowSnapshots:
         total = signoff.get("power_mw_raw")
         assert signoff.get("dynamic_mw_raw") <= total + 1e-12
         assert 0.0 <= signoff.get("leakage_fraction") <= 1.0
+
+
+class TestOneBuilder:
+    """Both flow engines emit their results through the builders in
+    ``repro.flow.runner``, so the two can never drift apart."""
+
+    BUILDERS = frozenset({
+        "_placement_snapshot", "_cts_snapshot", "_routing_snapshot",
+        "_optimization_snapshot", "_signoff_result",
+    })
+
+    def test_both_engines_emit_qor_and_stages_in_order(self):
+        profile = tiny_profile()
+        stack = [
+            (profile, FlowParameters(
+                opt=OptParams(vt_swap_bias=1.0 + 0.1 * lane)
+            ), 2)
+            for lane in range(3)
+        ]
+        results = [run_flow(*stack[0])] + run_flow_batch(stack)
+        for result in results:
+            assert list(result.qor) == list(REQUIRED_QOR_KEYS)
+            assert [snap.stage for snap in result.snapshots] == list(
+                FlowStage.ordered()
+            )
+
+    @staticmethod
+    def _snapshot_calls(tree):
+        """``(enclosing function, line)`` of every ``StageSnapshot(...)``."""
+        found = []
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name)
+                        and child.func.id == "StageSnapshot"):
+                    found.append((owner, child.lineno))
+                visit(child, owner)
+
+        visit(tree, None)
+        return found
+
+    def test_stage_snapshots_built_only_by_runner_builders(self):
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            calls = self._snapshot_calls(ast.parse(path.read_text()))
+            for owner, line in calls:
+                if not (path.name == "runner.py" and path.parent.name == "flow"
+                        and owner in self.BUILDERS):
+                    offenders.append(f"{path}:{line}: in {owner}")
+        assert not offenders, "\n".join(offenders)

@@ -19,7 +19,8 @@ import numpy as np
 
 import pytest
 
-from repro.core.alignment import _fused_pair_log_probs
+import repro.nn.tensor as tensor_module
+from repro.core.alignment import AlignmentTrainer, _fused_pair_log_probs
 from repro.core.model import InsightAlignModel
 from repro.nn.attention import TransformerDecoderLayer, causal_mask
 from repro.nn.layers import LayerNorm
@@ -114,6 +115,29 @@ class TestAlignmentStepMemory:
             tracemalloc.stop()
         assert after_forward <= 80 * MIB, after_forward / MIB
         assert peak <= 100 * MIB, peak / MIB
+
+
+class TestProbeRecordsNoTape:
+    """The end-of-epoch probe is never backpropagated, so its forward
+    must record no tape node, and give the tracked forward's loss."""
+
+    def test_eval_loss_builds_no_node(self, monkeypatch):
+        model = InsightAlignModel(seed=0)
+        batch = _pairs(model, 192)
+        expected = float(_hinge_loss(model, *batch).item())
+        built = []
+        original = tensor_module._Node.__init__
+
+        def counting(node, parents, backward):
+            built.append(1)
+            original(node, parents, backward)
+
+        monkeypatch.setattr(tensor_module._Node, "__init__", counting)
+        loss = AlignmentTrainer()._eval_loss(model, *batch)
+        monkeypatch.undo()
+        assert len(built) == 0
+        assert loss.hex() == expected.hex()
+        assert all(param.requires_grad for param in model.parameters())
 
 
 def _composed_layer_norm(x, gamma, beta, epsilon=1e-5):

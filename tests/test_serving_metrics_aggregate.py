@@ -1,4 +1,4 @@
-"""Cross-service serving-metrics aggregation (the ISSUE 9 satellite fix).
+"""Serving-metrics service ids: no two services share a label child.
 
 The bug: ``ServingMetrics`` auto-assigns ``svcN`` ids from a module-level
 counter.  A registry that outlives that counter (fresh subprocess, module
@@ -8,25 +8,16 @@ per-family rollup double-counted.  The fix: auto ids skip every
 ``service=`` label value already present in the registry, and each new
 service materializes its children at birth so it is immediately visible
 to that check.
-
-Also covered: :func:`aggregate_serving_snapshot` sums counter families
-with each label child counted exactly once, and merges histograms over
-the *pooled* sample windows (not an average of per-service percentiles).
 """
 
 import itertools
 
-import numpy as np
 import pytest
 
 import repro.serving.metrics as serving_metrics
 from repro.observability import MetricsRegistry, set_registry
 from repro.observability.metrics import _HistogramState
-from repro.serving.metrics import (
-    ServingMetrics,
-    aggregate_serving_snapshot,
-    used_service_ids,
-)
+from repro.serving.metrics import ServingMetrics, used_service_ids
 
 
 @pytest.fixture()
@@ -90,64 +81,3 @@ class TestServiceIdCollisions:
         assert metrics.service_id.startswith("svc")
         assert calls == []
 
-
-class TestAggregation:
-    def test_counters_sum_each_child_once(self, fresh_registry):
-        a, b = ServingMetrics(), ServingMetrics()
-        a.submitted.inc(4)
-        b.submitted.inc(6)
-        a.cache_hits.inc(1)
-        b.cache_misses.inc(3)
-        snapshot = aggregate_serving_snapshot(fresh_registry)
-        assert snapshot["requests"]["submitted"] == 10
-        assert snapshot["cache"]["hits"] == 1
-        assert snapshot["cache"]["misses"] == 3
-        assert snapshot["cache"]["hit_rate"] == pytest.approx(0.25)
-        assert set(snapshot["services"]) == {a.service_id, b.service_id}
-
-    def test_services_filter_restricts_rollup(self, fresh_registry):
-        a, b = ServingMetrics(), ServingMetrics()
-        a.submitted.inc(4)
-        b.submitted.inc(6)
-        only_a = aggregate_serving_snapshot(
-            fresh_registry, services=[a.service_id]
-        )
-        assert only_a["requests"]["submitted"] == 4
-        assert only_a["services"] == [a.service_id]
-
-    def test_histograms_pool_samples_exactly(self, fresh_registry):
-        """The aggregated p99 is the percentile of the union of samples —
-        not the mean of per-service p99s, which would understate the hot
-        replica's tail."""
-        a, b = ServingMetrics(), ServingMetrics()
-        fast = [0.001] * 99
-        slow = [1.0] * 99
-        for value in fast:
-            a.latency_s.observe(value)
-        for value in slow:
-            b.latency_s.observe(value)
-        snapshot = aggregate_serving_snapshot(fresh_registry)
-        merged = snapshot["latency_s"]
-        assert merged["count"] == 198
-        assert merged["min"] == pytest.approx(0.001)
-        assert merged["max"] == pytest.approx(1.0)
-        pooled = np.percentile(fast + slow, 99)
-        assert merged["p99"] == pytest.approx(pooled)
-        # The wrong rollup (average of per-service p99s) would be ~0.5.
-        assert merged["p99"] > 0.9
-
-    def test_empty_registry_aggregates_to_zeros(self, fresh_registry):
-        snapshot = aggregate_serving_snapshot(fresh_registry)
-        assert snapshot["requests"]["submitted"] == 0
-        assert snapshot["cache"]["hit_rate"] == 0.0
-        assert snapshot["latency_s"]["count"] == 0
-        assert snapshot["services"] == []
-
-    def test_snapshot_shape_matches_per_service(self, fresh_registry):
-        metrics = ServingMetrics()
-        metrics.submitted.inc()
-        metrics.latency_s.observe(0.01)
-        per_service = metrics.snapshot()
-        aggregated = aggregate_serving_snapshot(fresh_registry)
-        missing = set(per_service) - set(aggregated)
-        assert not missing, f"aggregate lost keys: {missing}"

@@ -8,7 +8,8 @@ from repro.core.recommender import InsightAlign
 from repro.errors import RegistryError
 from repro.insights.schema import INSIGHT_DIMS
 from repro.serving.cache import ResultCache, quantize_insight
-from repro.serving.metrics import Counter, Histogram, ServingMetrics
+from repro.observability.metrics import Counter, Histogram
+from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 
 

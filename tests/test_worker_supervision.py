@@ -32,6 +32,7 @@ from repro.runtime import (
     FlowSession,
     RuntimeConfig,
 )
+from repro.runtime.supervisor import START_METHOD
 
 KILL_PLAN = FaultPlan(rate=1.0, kinds=(FaultKind.WORKER_KILL,), seed=11)
 
@@ -105,6 +106,25 @@ class TestPoolWarmup:
             assert session.stats()["pool_live"]
         assert all(report.ok for report in reports)
         assert netlist_cache_info()["size"] == 0
+
+    @pytest.mark.skipif(START_METHOD != "fork",
+                        reason="only a forking pool warms in the parent")
+    def test_builtin_pool_warms_custom_profile_in_parent(self):
+        """The built-in engine's pool warms a custom profile too: the
+        parent admits its pristine netlist once, before forking."""
+        clear_netlist_cache()
+        profile = tiny_profile()
+        jobs = [
+            FlowJob(profile, FlowParameters(
+                opt=OptParams(vt_swap_bias=1.0 + 0.05 * index)
+            ), seed=3)
+            for index in range(4)
+        ]
+        with FlowSession(RuntimeConfig(workers=2)) as session:
+            reports = session.evaluate(jobs)
+            assert session.stats()["pool_live"]
+        assert all(report.ok for report in reports)
+        assert netlist_cache_info()["size"] == 1
 
 
 class TestPoisonQuarantine:
